@@ -51,6 +51,16 @@ struct CfgNode
     int block = -1;
 };
 
+/**
+ * The direct call -> return-site edge, which stands for the whole
+ * unanalyzed callee body between the two points.
+ */
+inline bool
+isCallReturnEdge(const DecodedInst& from, Addr to)
+{
+    return from.ctl == Ctl::kCall && to == from.callRetPc;
+}
+
 /** A maximal single-entry single-exit chain of issue points. */
 struct CfgBlock
 {

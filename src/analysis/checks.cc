@@ -320,11 +320,8 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
         run_n = 0;
     };
     for (const auto& [pc, n] : cfg.nodes()) {
-        const auto ait = ai.in.find(pc);
-        const bool structurally_live =
-            ait == ai.in.end() || ait->second.reachable;
         const bool dead = sc.executable.count(pc) == 0 &&
-                          structurally_live && n.di.totalParcels > 0;
+                          ai.inAt(pc).reachable && n.di.totalParcels > 0;
         if (!dead) {
             flush();
             continue;

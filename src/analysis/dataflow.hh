@@ -1,7 +1,7 @@
 /**
  * @file
- * Worklist dataflow over the issue-point CFG, plus the concrete passes
- * the CRISP invariants need:
+ * Concrete dataflow passes over the issue-point CFG that the CRISP
+ * invariants need:
  *
  *  - reaching-compare analysis: for every conditional-branch issue
  *    point, the minimum number of issue slots separating it from the
@@ -30,54 +30,6 @@
 
 namespace crisp::analysis
 {
-
-/**
- * Generic forward worklist solver. @p meet folds a predecessor's OUT
- * into a node's IN; @p transfer maps (node, in) to out. Roots (nodes
- * with no predecessors) start from @p boundary; everything else starts
- * from @p top, which must be the meet identity. Runs to fixpoint;
- * @return the IN state of every node.
- */
-template <class State, class Meet, class Transfer>
-std::map<Addr, State>
-solveForward(const Cfg& cfg, const State& boundary, const State& top,
-             Meet meet, Transfer transfer)
-{
-    std::map<Addr, State> in;
-    std::map<Addr, State> out;
-    for (const auto& [pc, n] : cfg.nodes()) {
-        in.emplace(pc, n.preds.empty() ? boundary : top);
-        out.emplace(pc, top);
-    }
-
-    std::vector<Addr> work;
-    work.reserve(cfg.nodes().size());
-    for (const auto& [pc, n] : cfg.nodes())
-        work.push_back(pc);
-    std::set<Addr> queued(work.begin(), work.end());
-
-    while (!work.empty()) {
-        const Addr pc = work.back();
-        work.pop_back();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
-        State i = n.preds.empty() ? boundary : top;
-        for (const Addr p : n.preds)
-            i = meet(i, out.at(p));
-        in.at(pc) = i;
-
-        const State o = transfer(n, i);
-        if (o == out.at(pc))
-            continue;
-        out.at(pc) = o;
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
-        }
-    }
-    return in;
-}
 
 /**
  * Issue slots that must separate a CC writer from a conditional branch

@@ -1,12 +1,11 @@
 /**
  * @file
- * Forward reaching-definitions worklist, def-use chains, and the two
- * provably-safe rewrite finders built on them.
+ * Forward reaching definitions (a policy over the shared fixpoint
+ * solver), def-use chains, and the two provably-safe rewrite finders
+ * built on them.
  */
 
 #include "reachdefs.hh"
-
-#include <deque>
 
 namespace crisp::analysis
 {
@@ -16,24 +15,6 @@ namespace
 
 /** Key-count cap; past it the map degrades to all-wild. */
 constexpr std::size_t kKeyCap = 512;
-
-std::optional<Addr>
-resolve(const Operand& o, const AbsState& pre)
-{
-    switch (o.mode) {
-      case AddrMode::kStack: {
-        const auto sp = pre.sp.constant();
-        if (!sp)
-            return std::nullopt;
-        return static_cast<Addr>(*sp) +
-               static_cast<Addr>(o.value) * kWordBytes;
-      }
-      case AddrMode::kAbs:
-        return static_cast<Addr>(o.value);
-      default:
-        return std::nullopt;
-    }
-}
 
 RdState
 joinRd(const RdState& a, const RdState& b)
@@ -90,7 +71,7 @@ transferRd(const DecodedInst& di, const RdState& in, Addr pc,
             havocMem(s);
             return;
         }
-        const auto a = resolve(o, pre);
+        const auto a = operandAddress(o, pre);
         if (a)
             s.defs[static_cast<LocKey>(*a)] = {pc};
         else
@@ -126,14 +107,6 @@ transferRd(const DecodedInst& di, const RdState& in, Addr pc,
     return s;
 }
 
-const AbsState&
-preStateAt(const AbsIntResult& ai, Addr pc)
-{
-    static const AbsState top = AbsState::anyState();
-    const auto it = ai.in.find(pc);
-    return it == ai.in.end() ? top : it->second;
-}
-
 /** Read-only operand positions of one issue point's body. */
 struct BodyReads
 {
@@ -162,88 +135,71 @@ bodyReads(const DecodedInst& di)
     return r;
 }
 
+/** Reaching definitions as a fixpoint policy (fixpoint.hh). */
+struct RdPolicy
+{
+    using State = RdState;
+    static constexpr Direction kDirection = Direction::kForward;
+
+    const AbsIntResult& ai;
+
+    /** Reachable with every location wild: the entry state, and the
+     *  sound state of a step-cap bail. */
+    RdState
+    boundary() const
+    {
+        RdState s;
+        s.reachable = true;
+        return s;
+    }
+
+    RdState top() const { return boundary(); }
+
+    std::optional<RdState>
+    edge(const CfgNode& from, const RdState& s, Addr to) const
+    {
+        if (!isCallReturnEdge(from.di, to))
+            return std::nullopt;
+        // Havocked return edge: reachability only.
+        RdState wild;
+        wild.reachable = s.reachable;
+        return wild;
+    }
+
+    RdState
+    join(const RdState& a, const RdState& b) const
+    {
+        return joinRd(a, b);
+    }
+
+    RdState
+    transfer(const CfgNode& n, const RdState& in) const
+    {
+        if (!in.reachable)
+            return RdState{};
+        if (n.di.totalParcels <= 0)
+            return in;
+        return transferRd(n.di, in, n.di.pc, ai.inAt(n.di.pc));
+    }
+};
+
 } // namespace
 
 ReachDefsResult
 computeReachDefs(const Cfg& cfg, const AbsIntResult& ai)
 {
     ReachDefsResult r;
-    const Program& prog = cfg.program();
-
     std::map<Addr, RdState> out;
-    for (const auto& [pc, n] : cfg.nodes()) {
-        r.in.emplace(pc, RdState{});
-        out.emplace(pc, RdState{});
-    }
-    if (!cfg.has(prog.entry))
-        return r;
-
-    std::deque<Addr> work{prog.entry};
-    std::set<Addr> queued{prog.entry};
-    const std::uint64_t step_cap =
-        static_cast<std::uint64_t>(cfg.nodes().size()) *
-            kAbsintStepsPerNode +
-        256;
-    std::uint64_t steps = 0;
-
-    while (!work.empty()) {
-        if (++steps > step_cap) {
-            // Sound degradation: everything wild everywhere.
-            r.converged = false;
-            for (auto& [pc, s] : r.in) {
-                s.reachable = true;
-                s.defs.clear();
-            }
-            r.defUses.clear();
-            return r;
-        }
-
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
-        RdState i;
-        if (pc == prog.entry)
-            i.reachable = true;
-        for (const Addr p : n.preds) {
-            const DecodedInst& pdi = cfg.node(p).di;
-            const RdState& po = out.at(p);
-            if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
-                // Havocked return edge: reachability only.
-                RdState wild;
-                wild.reachable = po.reachable;
-                i = joinRd(i, wild);
-            } else {
-                i = joinRd(i, po);
-            }
-        }
-        r.in.at(pc) = i;
-
-        RdState o;
-        if (!i.reachable)
-            o = RdState{};
-        else if (n.di.totalParcels <= 0)
-            o = i;
-        else
-            o = transferRd(n.di, i, pc, preStateAt(ai, pc));
-
-        RdState& slot = out.at(pc);
-        if (o == slot)
-            continue;
-        slot = std::move(o);
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
-        }
-    }
+    r.converged = solveFixpoint(cfg, RdPolicy{ai}, r.in, out).converged;
+    if (!r.converged)
+        return r; // everything wild everywhere, no chains
 
     // Def-use chains over the fixpoint.
     for (const auto& [pc, n] : cfg.nodes()) {
         const RdState& i = r.in.at(pc);
         if (!i.reachable || n.di.totalParcels <= 0)
             continue;
-        const AbsState& pre = preStateAt(ai, pc);
+        const AbsState& pre = ai.inAt(pc);
         const auto use = [&](LocKey k) {
             for (const Addr d : i.defsOf(k)) {
                 if (d != kWildDef)
@@ -257,7 +213,7 @@ computeReachDefs(const Cfg& cfg, const AbsIntResult& ai)
                 break;
               case AddrMode::kStack:
               case AddrMode::kAbs:
-                if (const auto a = resolve(*op, pre))
+                if (const auto a = operandAddress(*op, pre))
                     use(static_cast<LocKey>(*a));
                 break;
               default:
@@ -286,13 +242,13 @@ findConstPropUses(const Cfg& cfg, const ReachDefsResult& rd,
             n.di.totalParcels <= 0) {
             continue;
         }
-        const AbsState& pre = preStateAt(ai, pc);
+        const AbsState& pre = ai.inAt(pc);
         for (const auto& [op, is_dst] : bodyReads(n.di).ops) {
             if (op->mode != AddrMode::kStack &&
                 op->mode != AddrMode::kAbs) {
                 continue;
             }
-            const auto a = resolve(*op, pre);
+            const auto a = operandAddress(*op, pre);
             if (!a)
                 continue;
             const std::set<Addr> ds =
@@ -307,7 +263,7 @@ findConstPropUses(const Cfg& cfg, const ReachDefsResult& rd,
                 ddi.body.src.mode != AddrMode::kImm) {
                 continue;
             }
-            const auto da = resolve(ddi.body.dst, preStateAt(ai, d));
+            const auto da = operandAddress(ddi.body.dst, ai.inAt(d));
             if (!da || *da != *a)
                 continue;
             uses.push_back({pc, is_dst, ddi.body.src.value, d});
@@ -329,9 +285,9 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
             continue;
         }
         const Instruction& b = n.di.body;
-        const AbsState& pre = preStateAt(ai, pc);
-        const auto a = resolve(b.dst, pre);
-        const auto bb = resolve(b.src, pre);
+        const AbsState& pre = ai.inAt(pc);
+        const auto a = operandAddress(b.dst, pre);
+        const auto bb = operandAddress(b.src, pre);
         if (!a || !bb || *a == *bb)
             continue;
 
@@ -358,16 +314,16 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
                 break;
             const CfgNode& pn = cfg.node(p);
             const DecodedInst& pdi = pn.di;
-            if (pdi.ctl == Ctl::kCall && cur == pdi.callRetPc)
+            if (isCallReturnEdge(pdi, cur))
                 break; // havocked return edge
             if (pdi.totalParcels <= 0)
                 break;
             const Instruction& pb = pdi.body;
             const bool is_inst = !pdi.loneBranch;
             if (is_inst && pb.op == Opcode::kMov) {
-                const AbsState& ppre = preStateAt(ai, p);
-                const auto pd = resolve(pb.dst, ppre);
-                const auto ps = resolve(pb.src, ppre);
+                const AbsState& ppre = ai.inAt(p);
+                const auto pd = operandAddress(pb.dst, ppre);
+                const auto ps = operandAddress(pb.src, ppre);
                 if (pd && ps &&
                     ((*pd == *a && *ps == *bb) ||
                      (*pd == *bb && *ps == *a))) {
@@ -383,10 +339,10 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
                 // stores might; resolved stores to other words do not.
                 if (pb.op == Opcode::kCall)
                     break;
-                const AbsState& ppre = preStateAt(ai, p);
+                const AbsState& ppre = ai.inAt(p);
                 if (pb.dst.mode == AddrMode::kInd)
                     break;
-                const auto pd = resolve(pb.dst, ppre);
+                const auto pd = operandAddress(pb.dst, ppre);
                 if (pb.dst.mode != AddrMode::kAccum &&
                     (!pd || *pd == *a || *pd == *bb)) {
                     break;

@@ -1,146 +1,25 @@
 /**
  * @file
- * Sparse conditional constant propagation: the absint worklist with
- * edge feasibility and per-edge flag refinement.
+ * Sparse conditional constant propagation: the absint fixpoint policy
+ * with edge feasibility and per-edge flag refinement.
  */
 
 #include "sccp.hh"
 
-#include <deque>
-
 namespace crisp::analysis
 {
-
-namespace
-{
-
-/**
- * State flowing from predecessor @p pn (post-state @p po) into @p pc.
- * Returns an unreachable state when the edge is proven infeasible.
- */
-AbsState
-edgeState(const CfgNode& pn, const AbsState& po, Addr pc)
-{
-    const DecodedInst& pdi = pn.di;
-    if (pdi.ctl == Ctl::kCall && pc == pdi.callRetPc) {
-        // call -> return-site edge: the unanalyzed callee body may
-        // touch anything; only reachability flows through.
-        return po.reachable ? AbsState::anyState() : AbsState{};
-    }
-    if (!po.reachable || !pdi.hasCondBranch())
-        return po;
-
-    const Addr taken = pdi.takenPc;
-    const Addr seq = pdi.seqPc;
-    if (taken == seq)
-        return po; // branch to next: both roles, no implied flag value
-
-    bool edge_flag;
-    if (pc == taken) {
-        edge_flag = pdi.ctl == Ctl::kCondT;
-    } else if (pc == seq) {
-        edge_flag = pdi.ctl == Ctl::kCondF;
-    } else {
-        return po; // wild-target edge kept by validation: no refinement
-    }
-
-    // Feasibility: traversing this edge means the flag held edge_flag.
-    const bool feasible =
-        edge_flag ? po.flag.mayTrue : po.flag.mayFalse;
-    if (!feasible)
-        return AbsState{};
-    AbsState r = po;
-    r.flag = FlagVal::known(edge_flag);
-    return r;
-}
-
-} // namespace
 
 SccpResult
 sccp(const Cfg& cfg, const AbsIntOptions& opts)
 {
     SccpResult r;
     AbsIntResult& st = r.state;
-    const Program& prog = cfg.program();
+    const AbsPolicy policy{entryState(cfg.program()), /*conditional=*/true};
+    static_cast<FixpointRun&>(st) =
+        solveFixpoint(cfg, policy, st.in, st.out, opts.stepCap);
 
-    for (const auto& [pc, n] : cfg.nodes()) {
-        st.in.emplace(pc, AbsState{});
-        st.out.emplace(pc, AbsState{});
-    }
-
-    AbsState boundary;
-    boundary.reachable = true;
-    boundary.accum = Interval::of(0);
-    const std::int64_t sp0 =
-        (prog.memBytes - kWordBytes) & ~(kWordBytes - 1);
-    boundary.sp = {sp0, sp0};
-    boundary.flag = FlagVal::known(false);
-
-    if (!cfg.has(prog.entry))
-        return r;
-
-    std::deque<Addr> work{prog.entry};
-    std::set<Addr> queued{prog.entry};
-    std::map<Addr, int> joins;
-
-    const std::uint64_t step_cap =
-        opts.stepCap != 0
-            ? opts.stepCap
-            : static_cast<std::uint64_t>(cfg.nodes().size()) *
-                      kAbsintStepsPerNode +
-                  256;
-
-    while (!work.empty()) {
-        if (++st.steps > step_cap) {
-            // Sound bail-out mirrors interpret(): every discovered
-            // issue point is assumed reachable with nothing proven.
-            st.converged = false;
-            r.provenDirection.clear();
-            r.executable.clear();
-            for (auto& [pc, s] : st.in) {
-                s = AbsState::anyState();
-                r.executable.insert(pc);
-            }
-            for (auto& [pc, s] : st.out)
-                s = AbsState::anyState();
-            return r;
-        }
-
-        const Addr pc = work.front();
-        work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
-
-        AbsState i = pc == prog.entry ? boundary : AbsState{};
-        for (const Addr p : n.preds)
-            i = joinState(i, edgeState(cfg.node(p), st.out.at(p), pc));
-
-        AbsState& in_slot = st.in.at(pc);
-        if (!(i == in_slot)) {
-            if (++joins[pc] > kAbsintWidenJoins)
-                i = widenAbsState(in_slot, i, st.widenings);
-            in_slot = i;
-        }
-
-        AbsState o;
-        if (!i.reachable) {
-            o = AbsState{};
-        } else if (n.di.totalParcels <= 0) {
-            o = i;
-        } else {
-            o = absTransfer(n.di, i);
-        }
-
-        AbsState& out_slot = st.out.at(pc);
-        if (o == out_slot)
-            continue;
-        out_slot = std::move(o);
-        for (const Addr s : n.succs) {
-            if (queued.insert(s).second)
-                work.push_back(s);
-        }
-    }
-
+    // A step-cap bail leaves every node all-top: executable, with no
+    // direction proven.
     for (const auto& [pc, s] : st.in) {
         if (!s.reachable)
             continue;

@@ -35,9 +35,8 @@
  *
  * Join is pointwise set union capped at kValueSetCap (overflow means
  * top); widening drops every set that grew since the previous join,
- * so ascending chains are finite and the sccp worklist discipline
- * (join counter, widening threshold, step-cap all-top bail) carries
- * over unchanged.
+ * so ascending chains are finite and the fixpoint solver's discipline
+ * (join counter, widening threshold, step-cap bail) applies unchanged.
  *
  * Soundness contract (checked end to end by torture invariant 8): for
  * every retired execution of an indirect branch, the dynamic target is
@@ -132,16 +131,12 @@ struct SiteTargets
     bool singleton() const { return resolved && targets.size() == 1; }
 };
 
-/** Result of one target analysis run. */
-struct TargetsResult
+/** Result of one target analysis run. When the step cap trips
+ *  (converged == false), every site falls back to ⊤. */
+struct TargetsResult : FixpointRun
 {
     /** Indirect sites keyed by issue-point address. */
     std::map<Addr, SiteTargets> sites;
-
-    /** False when the step cap tripped (everything fell back to ⊤). */
-    bool converged = true;
-    std::uint64_t steps = 0;
-    int widenings = 0;
 
     /** True when a store through an unprovable address forced the
      *  whole initial image mutable (no immutable-word reads). */
