@@ -140,6 +140,11 @@ Pdu::tick(std::uint64_t now)
             queue_.append(prog_.text.data() +
                               (memAddr_ - prog_.textBase) / kParcelBytes,
                           memParcels_);
+            // Decode may have followed a call or jump straight into
+            // this block while it was in flight, pointing the
+            // prefetcher back at it: the next block starts after it.
+            prefetchPc_ =
+                memAddr_ + static_cast<Addr>(memParcels_) * kParcelBytes;
         }
     }
 
