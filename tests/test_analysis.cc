@@ -142,6 +142,22 @@ TEST(Dataflow, AdjacentCompareBranchIsShortSpread)
     EXPECT_FALSE(s.guaranteedResolved);
 }
 
+TEST(Dataflow, BranchAtALoopingEntryMayTestThePowerOnFlag)
+{
+    // The entry is also a loop head: the first pass through the
+    // branch runs before any compare, even though every node has a
+    // predecessor.
+    AsmBuilder b;
+    b.label("main");
+    b.emit(Instruction::alu(Opcode::kAdd, Operand::accum(),
+                            Operand::imm(1)));
+    b.branch(Opcode::kIfTJmp, "main", /*predict_taken=*/true);
+    b.emit(Instruction::halt());
+    b.entry("main");
+    const AnalysisResult r = analyzeProgram(b.link(), {});
+    EXPECT_TRUE(hasRule(r, "cc.maybe-missing-compare")) << r.toString();
+}
+
 TEST(Dataflow, ThreeParcelCallNeverFolds)
 {
     // A one-parcel instruction precedes the call, but calls are three
