@@ -15,7 +15,13 @@
  *                               this; every field is a deterministic
  *                               integer, so any drift is a real
  *                               behaviour change in the compiler, the
- *                               cost engine, or the simulator)
+ *                               analyses, the cost engine, or the
+ *                               simulator)
+ *
+ * Each workload also records the work of every fixpoint the analysis
+ * ran (steps, widenings, converged for absint, SCCP, liveness,
+ * reaching definitions and targets), so a change to a solver or a
+ * lattice that alters how much it iterates shows as an exact count.
  *
  * The tool also re-asserts the envelope invariant itself: a simulated
  * branchDelayCycles outside [delayLowerBound, delayUpperBound] is an
@@ -107,12 +113,22 @@ indirectCounts(const AnalysisResult& st)
     return ic;
 }
 
+/** One solver run's exact work, as a JSON object. */
+std::string
+workJson(const FixpointRun& run)
+{
+    std::ostringstream os;
+    os << "{\"steps\":" << run.steps << ",\"widenings\":" << run.widenings
+       << ",\"converged\":" << (run.converged ? "true" : "false") << "}";
+    return os.str();
+}
+
 std::string
 buildLedger(bool& ok)
 {
     ok = true;
     std::ostringstream os;
-    os << "{\"schema\":\"crisp-bench-cost/3\",\"predict\":\"static-bit\","
+    os << "{\"schema\":\"crisp-bench-cost/4\",\"predict\":\"static-bit\","
           "\"workloads\":[";
     bool first = true;
     for (const Workload& w : allWorkloads()) {
@@ -185,6 +201,12 @@ buildLedger(bool& ok)
            << ",\"branches\":" << dyn.branches
            << ",\"cycles\":" << dyn.cycles
            << ",\"issued\":" << dyn.issued
+           << ",\"analysis\":{"
+           << "\"absint\":" << workJson(st.absint)
+           << ",\"sccp\":" << workJson(st.sccp.state)
+           << ",\"liveness\":" << workJson(st.live)
+           << ",\"reachdefs\":" << workJson(st.reachdefs)
+           << ",\"targets\":" << workJson(st.targets) << "}"
            << ",\"opt\":{"
            << "\"optimized\":" << (orep.optimized ? "true" : "false")
            << ",\"branchesRewritten\":" << orep.stats.branchesRewritten

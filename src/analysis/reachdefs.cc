@@ -190,7 +190,8 @@ computeReachDefs(const Cfg& cfg, const AbsIntResult& ai)
 {
     ReachDefsResult r;
     std::map<Addr, RdState> out;
-    r.converged = solveFixpoint(cfg, RdPolicy{ai}, r.in, out).converged;
+    static_cast<FixpointRun&>(r) =
+        solveFixpoint(cfg, RdPolicy{ai}, r.in, out);
     if (!r.converged)
         return r; // everything wild everywhere, no chains
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "absint.hh"
+#include "fixpoint.hh"
 
 namespace crisp::analysis
 {
@@ -61,16 +62,15 @@ struct RdState
     bool operator==(const RdState&) const = default;
 };
 
-/** Fixpoint result of one forward pass. */
-struct ReachDefsResult
+/** Fixpoint result of one forward pass. When the step cap trips
+ *  (converged == false), everything is wild and no chain is built. */
+struct ReachDefsResult : FixpointRun
 {
     /** Pre-state per issue point, keyed like Cfg::nodes(). */
     std::map<Addr, RdState> in;
 
     /** Def-use chains: definition pc -> issue points that may read it. */
     std::map<Addr, std::set<Addr>> defUses;
-
-    bool converged = true;
 };
 
 /** Run reaching definitions over @p cfg with absint operand facts. */
