@@ -50,6 +50,8 @@ struct CallSite
     Addr retPc = 0;
     /** True when the call is a reachable issue point in the CFG. */
     bool reachable = false;
+
+    bool operator==(const CallSite&) const = default;
 };
 
 /** One discovered function. */
@@ -65,6 +67,8 @@ struct CgFunction
     /** Return addresses of *reachable* calls to this entry: the
      *  candidate target set of this function's returns. */
     std::set<Addr> returnSites;
+
+    bool operator==(const CgFunction&) const = default;
 };
 
 class CallGraph

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "session.hh"
+
 namespace crisp::analysis
 {
 
@@ -384,6 +386,21 @@ checkTargets(const CallGraph& cg, const TargetsResult& tr,
     }
 }
 
+/**
+ * Deterministic report order: (site pc, rule id). Tools diff the
+ * JSON/SARIF output against goldens, so ties must not depend on
+ * emission order.
+ */
+void
+sortForReport(std::vector<Diagnostic>& diags)
+{
+    std::stable_sort(diags.begin(), diags.end(),
+                     [](const Diagnostic& a, const Diagnostic& b) {
+                         return a.pc != b.pc ? a.pc < b.pc
+                                             : a.rule < b.rule;
+                     });
+}
+
 std::string
 jsonEscape(const std::string& s)
 {
@@ -403,64 +420,41 @@ jsonEscape(const std::string& s)
 
 } // namespace
 
-AnalysisResult
-analyzeProgram(const Program& prog, const AnalysisOptions& opt)
+std::vector<Diagnostic>
+errorDiagnostics(const Cfg& cfg, int stackCacheWords)
 {
-    AnalysisResult r;
-    r.cfg = std::make_shared<Cfg>(prog, opt.policy);
-    r.spread = analyzeSpread(*r.cfg);
-    r.sites = collectBranchSites(*r.cfg, r.spread);
-    r.absint = interpret(*r.cfg);
-    if (opt.dataflow) {
-        r.sccp = sccp(*r.cfg);
-        r.live = computeLiveness(*r.cfg, r.sccp.state);
-        r.reachdefs = computeReachDefs(*r.cfg, r.sccp.state);
-        r.callgraph = std::make_shared<CallGraph>(*r.cfg);
-        r.targets = analyzeTargets(*r.cfg, *r.callgraph, r.sccp);
+    std::vector<Diagnostic> found;
+    checkCfg(cfg, found);
+    checkStack(analyzeStackWindow(cfg, stackCacheWords), stackCacheWords,
+               found);
+    std::vector<Diagnostic> errors;
+    for (Diagnostic& d : found) {
+        if (d.severity == Severity::kError)
+            errors.push_back(std::move(d));
     }
-    // SCCP's edge-pruned fixpoint is at least as precise as plain
-    // absint, so the cost engine sees strictly more constancy proofs.
-    const AbsIntResult& values = opt.dataflow ? r.sccp.state : r.absint;
-    r.cost =
-        computeCost(*r.cfg, r.spread, r.sites, values, opt.costPredict,
-                    opt.dataflow ? &r.targets : nullptr);
+    sortForReport(errors);
+    return errors;
+}
 
-    checkCfg(*r.cfg, r.diags);
-    checkSpread(*r.cfg, r.spread, r.diags);
-    checkPredict(r.sites, opt.predict, r.diags);
+std::vector<Diagnostic>
+diagnose(AnalysisSession& s)
+{
+    const Cfg& cfg = s.cfg();
+    const AnalysisOptions& opt = s.options();
+    std::vector<Diagnostic> diags;
+    checkCfg(cfg, diags);
+    checkSpread(cfg, s.spread(), diags);
+    checkPredict(s.sites(), opt.predict, diags);
     if (opt.foldInfo)
-        checkFold(r.sites, r.diags);
-    checkStack(analyzeStackWindow(*r.cfg, opt.stackCacheWords),
-               opt.stackCacheWords, r.diags);
-    checkCost(*r.cfg, r.sites, r.cost, values, r.diags);
-    if (opt.dataflow) {
-        checkDataflow(*r.cfg, r.sccp, r.live, r.reachdefs, r.absint,
-                      r.diags);
-        checkTargets(*r.callgraph, r.targets, r.diags);
-    }
-
-    // Deterministic report order: (site pc, rule id). Tools diff the
-    // JSON/SARIF output against goldens, so ties must not depend on
-    // emission order.
-    std::stable_sort(r.diags.begin(), r.diags.end(),
-                     [](const Diagnostic& a, const Diagnostic& b) {
-                         return a.pc != b.pc ? a.pc < b.pc
-                                             : a.rule < b.rule;
-                     });
-
-    r.staticEntries = static_cast<int>(r.cfg->nodes().size());
-    for (const auto& [pc, s] : r.sites) {
-        ++r.staticBranchSites;
-        if (s.conditional)
-            ++r.staticCondSites;
-        if (s.cls != FoldClass::kLone)
-            ++r.staticFoldedSites;
-        if (s.cls != FoldClass::kFolded)
-            ++r.staticLoneSites;
-        if (s.guaranteedResolved)
-            ++r.staticGuaranteedCondSites;
-    }
-    return r;
+        checkFold(s.sites(), diags);
+    checkStack(analyzeStackWindow(cfg, opt.stackCacheWords),
+               opt.stackCacheWords, diags);
+    checkCost(cfg, s.sites(), s.cost(), s.sccp().state, diags);
+    checkDataflow(cfg, s.sccp(), s.liveness(), s.reachdefs(), s.absint(),
+                  diags);
+    checkTargets(s.callgraph(), s.targets(), diags);
+    sortForReport(diags);
+    return diags;
 }
 
 std::string

@@ -74,6 +74,8 @@ struct Diagnostic
     std::string hint;
 
     std::string toString() const;
+
+    bool operator==(const Diagnostic&) const = default;
 };
 
 /** Which prediction-bit convention the program claims to follow. */
@@ -97,12 +99,6 @@ struct AnalysisOptions
      * bounded (predictSourceFor maps SimConfig to this).
      */
     PredictSource costPredict = PredictSource::kStaticBit;
-    /**
-     * Run the sparse dataflow passes (SCCP, liveness, reaching
-     * definitions), refine the cost bounds through SCCP's edge-pruned
-     * fixpoint, and emit the dataflow.* rules.
-     */
-    bool dataflow = true;
 };
 
 /** Everything the analyzer derived, plus the diagnostics. */
@@ -117,16 +113,16 @@ struct AnalysisResult
     AbsIntResult absint;
     /** SCCP fixpoint (edge-pruned, at least as precise as absint). */
     SccpResult sccp;
-    /** Backward liveness (valid only when options.dataflow was set). */
+    /** Backward liveness over SCCP's facts. */
     LivenessResult live;
-    /** Reaching definitions + def-use chains (dataflow only). */
+    /** Reaching definitions + def-use chains. */
     ReachDefsResult reachdefs;
-    /** Call graph (functions, call sites, return-site matching);
-     *  built only when options.dataflow is set. */
+    /** Call graph (functions, call sites, return-site matching). */
     std::shared_ptr<const CallGraph> callgraph;
-    /** Per-site indirect/return target sets (dataflow only). */
+    /** Per-site indirect/return target sets. */
     TargetsResult targets;
-    /** Per-site static delay bounds derived from all of the above. */
+    /** Per-site static delay bounds over SCCP's facts, annotated with
+     *  the target sets. */
     CostSummary cost;
     std::vector<Diagnostic> diags;
 
@@ -165,9 +161,24 @@ struct AnalysisResult
     std::string toSarif(const std::string& artifactUri) const;
 };
 
-/** Build the CFG, run every pass, produce diagnostics. */
+class AnalysisSession;
+
+/**
+ * Every product of an analysis session (session.hh): the CFG, every
+ * pass, and every diagnostic.
+ */
 AnalysisResult analyzeProgram(const Program& prog,
                               const AnalysisOptions& opt = {});
+
+/**
+ * The error-level diagnostics of @p cfg, in report order. Every error
+ * rule reads only the CFG or the stack window, so no fixpoint runs.
+ */
+std::vector<Diagnostic> errorDiagnostics(const Cfg& cfg,
+                                         int stackCacheWords);
+
+/** Every rule over the products of @p s, in report order. */
+std::vector<Diagnostic> diagnose(AnalysisSession& s);
 
 } // namespace crisp::analysis
 

@@ -121,18 +121,6 @@ computeCost(const Cfg& cfg, const std::map<Addr, SpreadInfo>& spread,
             }
             if (!any_live)
                 c.bound = {0, 0};
-            // Target-set metadata for reporting and devirtualization;
-            // never feeds the enforced bound (a reachable indirect
-            // site costs exactly 2 no matter how small its set).
-            if (targets) {
-                for (const Addr ip : issuePointsOf(s)) {
-                    if (const SiteTargets* st = targets->siteAt(ip)) {
-                        c.targetResolved = st->resolved;
-                        c.targetCount = st->targets.size();
-                        c.targetSingleton = st->singleton();
-                    }
-                }
-            }
         } else if (!s.conditional) {
             // Direct jmp/call: the Next-PC field redirects at issue.
             c.bound = {0, 0};
@@ -210,7 +198,28 @@ computeCost(const Cfg& cfg, const std::map<Addr, SpreadInfo>& spread,
             cs.maxDelayPerSite = c.bound.hi;
         cs.sites.emplace(pc, c);
     }
+    if (targets)
+        annotateTargets(cs, sites, *targets);
     return cs;
+}
+
+void
+annotateTargets(CostSummary& cs, const std::map<Addr, BranchSite>& sites,
+                const TargetsResult& targets)
+{
+    // Reporting and devirtualization metadata only: a reachable
+    // indirect site costs exactly 2 no matter how small its set.
+    for (auto& [pc, c] : cs.sites) {
+        if (!c.indirect)
+            continue;
+        for (const Addr ip : issuePointsOf(sites.at(pc))) {
+            if (const SiteTargets* st = targets.siteAt(ip)) {
+                c.targetResolved = st->resolved;
+                c.targetCount = st->targets.size();
+                c.targetSingleton = st->singleton();
+            }
+        }
+    }
 }
 
 std::set<Addr>

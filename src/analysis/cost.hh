@@ -107,7 +107,7 @@ struct SiteCost
     bool predictionProvablyCorrect = false;
 
     // Indirect-site target metadata (valid when `indirect`, and only
-    // when a TargetsResult was supplied to computeCost).
+    // after annotateTargets).
     /** The target analysis proved a finite target set for the site. */
     bool targetResolved = false;
     /** Size of the proven (or fallback) target set. */
@@ -115,6 +115,8 @@ struct SiteCost
     /** Exactly one proven target: crispcc -O can devirtualize the
      *  site into a direct branch, dropping its cost from 2 to 0. */
     bool targetSingleton = false;
+
+    bool operator==(const SiteCost&) const = default;
 };
 
 /** Whole-program cost summary. */
@@ -136,20 +138,31 @@ struct CostSummary
     int maxDelayPerSite = 0; //!< max hi over all sites
 
     const SiteCost* find(Addr branch_pc) const;
+
+    bool operator==(const CostSummary&) const = default;
 };
 
 /**
  * Derive per-site delay bounds from the spread dataflow, the branch
  * site classification and the abstract fixpoint, under prediction
  * assumption @p predict. @p targets, when non-null, annotates
- * indirect sites with their proven target sets (metadata only; the
- * enforced bound never depends on it).
+ * indirect sites with their proven target sets (annotateTargets;
+ * the enforced bound never depends on it).
  */
 CostSummary computeCost(const Cfg& cfg,
                         const std::map<Addr, SpreadInfo>& spread,
                         const std::map<Addr, BranchSite>& sites,
                         const AbsIntResult& ai, PredictSource predict,
                         const TargetsResult* targets = nullptr);
+
+/**
+ * Annotate the indirect sites of @p cs with the proven target sets of
+ * @p targets (targetResolved, targetCount, targetSingleton). Metadata
+ * only: no bound changes. @p sites is the map @p cs was computed from.
+ */
+void annotateTargets(CostSummary& cs,
+                     const std::map<Addr, BranchSite>& sites,
+                     const TargetsResult& targets);
 
 /**
  * Issue points that become unreachable once every provably-constant

@@ -60,6 +60,8 @@ struct SpreadInfo
     bool guaranteedResolved = false;
     /** A path reaches this branch with no compare executed at all. */
     bool compareMayBeMissing = false;
+
+    bool operator==(const SpreadInfo&) const = default;
 };
 
 /** Keyed by issue-point pc (not branch pc). */
@@ -107,6 +109,8 @@ struct BranchSite
      * sites only; vacuously false for unconditional ones).
      */
     bool guaranteedResolved = false;
+
+    bool operator==(const BranchSite&) const = default;
 };
 
 /**

@@ -129,6 +129,8 @@ struct SiteTargets
     bool enforceable = false;
 
     bool singleton() const { return resolved && targets.size() == 1; }
+
+    bool operator==(const SiteTargets&) const = default;
 };
 
 /** Result of one target analysis run. When the step cap trips
