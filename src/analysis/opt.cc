@@ -8,7 +8,7 @@
 #include <optional>
 #include <sstream>
 
-#include "checks.hh"
+#include "session.hh"
 
 namespace crisp::analysis
 {
@@ -58,16 +58,6 @@ sitePcs(const cc::CodeList& code, const Program& prog)
     return m;
 }
 
-AnalysisOptions
-driverAnalysisOptions()
-{
-    AnalysisOptions a;
-    a.predict = PredictConvention::kNone; // facts only, no lint
-    a.foldInfo = false;
-    a.costPredict = PredictSource::kStaticBit;
-    return a;
-}
-
 /**
  * Constant branch directions, by branch parcel pc. A branch parcel may
  * belong to two issue points (folded into its carrier and as a lone
@@ -75,17 +65,17 @@ driverAnalysisOptions()
  * executable issue point containing it proves the same direction.
  */
 std::map<Addr, bool>
-agreedDirections(const AnalysisResult& a)
+agreedDirections(const Cfg& cfg, const SccpResult& sc)
 {
     std::map<Addr, std::optional<bool>> by_branch;
-    for (const auto& [pc, n] : a.cfg->nodes()) {
+    for (const auto& [pc, n] : cfg.nodes()) {
         if (!n.di.hasCondBranch())
             continue;
-        if (a.sccp.executable.count(pc) == 0)
+        if (sc.executable.count(pc) == 0)
             continue;
-        const auto pit = a.sccp.provenDirection.find(pc);
+        const auto pit = sc.provenDirection.find(pc);
         std::optional<bool> v;
-        if (pit != a.sccp.provenDirection.end())
+        if (pit != sc.provenDirection.end())
             v = pit->second;
         const Addr b = n.di.branchPc;
         const auto it = by_branch.find(b);
@@ -135,8 +125,12 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
 
     for (int round = 0; round < oopts.maxRounds; ++round) {
         const Program prog = cc::linkCode(work, ctx);
-        const AnalysisResult a =
-            analyzeProgram(prog, driverAnalysisOptions());
+        // The passes read facts, never lint rules, so the default
+        // options serve. A product is computed when a pass first reads
+        // it: liveness and reaching definitions only once steps 1 and
+        // 2a found nothing (or the tamper hook reads liveness), targets
+        // only at step 4.
+        AnalysisSession a(prog);
         if (a.hasErrors())
             break;
         const std::vector<Addr> pcs = linearPcs(prog);
@@ -146,13 +140,15 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
         for (std::size_t i = 0; i < pcs.size(); ++i)
             ord.emplace(pcs[i], i);
         ++r.stats.rounds;
+        const Cfg& cfg = a.cfg();
+        const SccpResult& sc = a.sccp();
 
         // Exactly one pass per round: every ordinal-keyed plan is
         // derived from and applied to the same linked layout.
 
         // 1. Constant conditional branches.
         std::map<std::size_t, bool> dirs;
-        for (const auto& [bpc, taken] : agreedDirections(a)) {
+        for (const auto& [bpc, taken] : agreedDirections(cfg, sc)) {
             const auto it = ord.find(bpc);
             if (it != ord.end())
                 dirs.emplace(it->second, taken);
@@ -168,8 +164,8 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
 
         // 2a. Items no executable issue point covers.
         std::set<Addr> covered;
-        for (const auto& [pc, n] : a.cfg->nodes()) {
-            if (a.sccp.executable.count(pc) == 0)
+        for (const auto& [pc, n] : cfg.nodes()) {
+            if (sc.executable.count(pc) == 0)
                 continue;
             covered.insert(pc);
             if (n.di.folded)
@@ -188,7 +184,7 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
             // stack store can when the slot happens to hold the stored
             // value already. The validator must reject.
             std::set<Addr> dead_pcs;
-            for (const DeadStore& d : a.live.dead)
+            for (const DeadStore& d : a.liveness().dead)
                 dead_pcs.insert(d.pc);
             std::size_t o = 0;
             for (const cc::CodeItem& c : work) {
@@ -219,7 +215,7 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
 
         // 2b. Dead definitions, redundant copies, dead compares.
         cc::DcePlan plan;
-        for (const DeadStore& d : a.live.dead) {
+        for (const DeadStore& d : a.liveness().dead) {
             const auto it = ord.find(d.pc);
             if (it == ord.end())
                 continue;
@@ -229,7 +225,7 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
                 plan.dead.insert(it->second);
         }
         for (const RedundantCopy& c :
-             findRedundantCopies(*a.cfg, a.reachdefs, a.sccp.state)) {
+             findRedundantCopies(cfg, a.reachdefs(), sc.state)) {
             const auto it = ord.find(c.pc);
             if (it != ord.end())
                 plan.dead.insert(it->second);
@@ -258,7 +254,7 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
         // 3. Copy propagation.
         std::vector<cc::ConstOperand> uses;
         for (const ConstUse& u :
-             findConstPropUses(*a.cfg, a.reachdefs, a.sccp.state)) {
+             findConstPropUses(cfg, a.reachdefs(), sc.state)) {
             const auto it = ord.find(u.pc);
             if (it != ord.end())
                 uses.push_back({it->second, u.dstOperand, u.value});
@@ -273,8 +269,10 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
         }
 
         // 4. Devirtualization: indirect jumps whose target set the
-        // interprocedural analysis proved to be one text address.
-        {
+        // interprocedural analysis proved to be one text address. A
+        // program without an indirect jump has no such site, so the
+        // value-set fixpoint runs only for one that has.
+        if (cfg.hasIndirect()) {
             // A label's linked address is the next non-label item's
             // linear-decode pc (trailing labels link to textEnd and
             // can never be devirtualization targets).
@@ -292,7 +290,7 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
             // fold): rewrite only when every one proves the same
             // single valid target.
             std::map<Addr, std::optional<Addr>> by_branch;
-            for (const auto& [pc, s] : a.targets.sites) {
+            for (const auto& [pc, s] : a.targets().sites) {
                 if (s.kind != TargetSiteKind::kIndirectJump)
                     continue;
                 std::optional<Addr> v;

@@ -4,12 +4,17 @@
  *
  * Round structure (at most OptOptions::maxRounds):
  *
- *   relink -> analyze (CFG, SCCP, liveness, reaching definitions) ->
- *   map pc-keyed facts to non-label CodeItem ordinals through the
- *   linear-decode pairing (the same pairing --verify audits) ->
- *   apply ONE rewrite pass (constant-branch folding, then DCE, then
- *   copy propagation, then single-target indirect-branch
- *   devirtualization, whichever fires first) -> repeat
+ *   relink -> open an analysis session (session.hh) -> map pc-keyed
+ *   facts to non-label CodeItem ordinals through the linear-decode
+ *   pairing (the same pairing --verify audits) -> apply ONE rewrite
+ *   pass (constant-branch folding, then DCE, then copy propagation,
+ *   then single-target indirect-branch devirtualization, whichever
+ *   fires first) -> repeat
+ *
+ * Each pass asks the session for the facts it reads (SCCP for the
+ * first two, liveness and reaching definitions for DCE and copy
+ * propagation, target sets for devirtualization), so a round that
+ * fires early never computes the later passes' facts.
  *
  * One pass per round keeps every ordinal-keyed plan valid: each plan
  * is derived from, and applied to, the same linked layout.

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "session.hh"
 #include "sim/cpu.hh"
 
 namespace crisp::analysis
@@ -293,11 +294,20 @@ runStaticOracle(const Program& prog, const SimConfig& cfg)
 {
     AnalysisOptions opt;
     opt.policy = cfg.foldPolicy;
-    opt.predict = PredictConvention::kNone;
     opt.stackCacheWords = cfg.stackCacheWords;
-    opt.foldInfo = false;
     opt.costPredict = predictSourceFor(cfg);
-    const AnalysisResult st = analyzeProgram(prog, opt);
+    // Only what crossCheck reads: the errors, the sites and their
+    // bounds, the CFG's candidate set, and per-site target sets, which
+    // it reads only at indirect jumps. No lint rule runs, so the
+    // prediction-bit convention does not matter.
+    AnalysisSession s(prog, opt);
+    AnalysisResult st;
+    st.cfg = s.sharedCfg();
+    st.diags = s.errors();
+    st.sites = s.sites();
+    st.cost = s.cost();
+    if (st.cfg->hasIndirect())
+        st.targets = s.targets();
 
     SiteRecorder rec;
     CrispCpu cpu(prog, cfg);

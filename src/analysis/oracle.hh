@@ -150,7 +150,9 @@ struct OracleReport
  * Compare an error-free analysis of a program with the dynamic record
  * of one simulator run over that same program and fold policy. When
  * @p st has error-level diagnostics the invariants are not claimed and
- * the report comes back not applicable.
+ * the report comes back not applicable. Of @p st it reads only the
+ * error diagnostics, the sites, their cost bounds, the CFG and the
+ * target sets of indirect-jump sites.
  */
 OracleReport crossCheck(const AnalysisResult& st, const SimStats& dyn,
                         const SiteRecorder& rec);
