@@ -106,8 +106,7 @@ constexpr std::uint64_t kMaxLoadableMemBytes = 1u << 30;
 std::vector<std::uint8_t>
 saveObject(const Program& prog)
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic, kMagic + 4);
+    std::vector<std::uint8_t> out(kMagic, kMagic + 4);
     put32(out, kVersion);
     put32(out, prog.textBase);
     put32(out, prog.entry);

@@ -114,8 +114,9 @@ TEST(Vax, AgreesWithCrispOnWorkloads)
         vax::VaxMachine vm(vax::compileForVax(w.source));
         const vax::VaxResult vr = vm.run(500'000'000);
         ASSERT_TRUE(vr.halted) << name;
-        if (w.checkAccum)
+        if (w.checkAccum) {
             EXPECT_EQ(vr.returnValue, w.expectedAccum) << name;
+        }
         for (const auto& [sym, val] : w.expectedGlobals)
             EXPECT_EQ(vm.global(sym), val) << name << ":" << sym;
     }
