@@ -119,21 +119,10 @@ struct SimConfig
      * before any architectural state is touched. Hint state (the static
      * prediction bit, the fold decision itself) is deliberately excluded:
      * faults there are architecturally benign by design. Off by default
-     * (it re-decodes on every retire); torture/fault-injection runs
-     * enable it.
+     * (it checks every retire); torture/fault-injection runs enable
+     * it.
      */
     bool checkDecode = false;
-
-    /**
-     * Use the whole-program predecode cache (predecode.hh): the PDR
-     * stage and the checkDecode golden re-decode memoize decode results
-     * per (address, fold policy) instead of re-running the decoder.
-     * Purely a host-speed optimization — cycle-accurate timing and all
-     * statistics are bit-identical either way (tests/test_perf_paths.cc
-     * proves it). Off is the escape hatch that forces the legacy
-     * re-decoding path.
-     */
-    bool usePredecode = true;
 
     /**
      * Hardware prediction scheme for conditional branches whose

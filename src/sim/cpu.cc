@@ -14,11 +14,11 @@ namespace crisp
 CrispCpu::CrispCpu(const Program& prog, const SimConfig& cfg,
                    PredecodeCache* shared_predecode)
     : prog_(prog), cfg_(cfg), mem_(prog_), dic_(cfg.dicEntries),
-      ownedPredecode_(shared_predecode != nullptr || !cfg.usePredecode
+      ownedPredecode_(shared_predecode != nullptr
                           ? nullptr
                           : std::make_unique<PredecodeCache>(prog_)),
-      predecode_(shared_predecode != nullptr ? shared_predecode
-                                             : ownedPredecode_.get()),
+      predecode_(shared_predecode != nullptr ? *shared_predecode
+                                             : *ownedPredecode_),
       pdu_(prog_, cfg_, dic_, stats_, predecode_),
       hwPredictor_(cfg.predictor, cfg.predictorEntries),
       stackCache_(cfg.stackCacheWords)
@@ -359,7 +359,7 @@ CrispCpu::retireStage(ExecObserver* observer)
     stats_.stackCacheMisses = stackCache_.misses();
 }
 
-const DecodedInst*
+const DecodedInst&
 CrispCpu::goldenDecodeAt(Addr pc, FoldPolicy policy) const
 {
     if (pc % kParcelBytes != 0 || !prog_.inText(pc)) {
@@ -367,36 +367,15 @@ CrispCpu::goldenDecodeAt(Addr pc, FoldPolicy policy) const
             "DIC corruption: retiring entry claims PC 0x" +
             std::to_string(pc) + " outside the text segment");
     }
-    if (cfg_.usePredecode) {
-        // The same memoized tables the PDU decodes from: the golden
-        // re-decode is a table lookup after the first retire at a PC.
-        const PredecodeCache::Entry& e = predecode_->at(pc, policy);
-        if (!e.valid) {
-            throw DicCorruptionError(
-                "DIC corruption: no valid decode exists at PC 0x" +
-                std::to_string(pc));
-        }
-        return &e.di;
-    }
-    goldenWindow_.clear();
-    const Addr end = prog_.textEnd();
-    for (Addr a = pc;
-         a < end &&
-         goldenWindow_.size() < static_cast<std::size_t>(kMaxParcels + 1);
-         a += kParcelBytes) {
-        goldenWindow_.push_back(prog_.parcelAt(a));
-    }
-    const Addr wend =
-        pc + static_cast<Addr>(goldenWindow_.size()) * kParcelBytes;
-    const FoldDecoder dec(policy);
-    const auto di = dec.decodeAt(pc, goldenWindow_, wend >= end);
-    if (!di) {
+    // The same memoized tables the PDU decodes from: the golden
+    // re-decode is a table lookup after the first retire at a PC.
+    const PredecodeCache::Entry& e = predecode_.at(pc, policy);
+    if (!e.valid) {
         throw DicCorruptionError(
             "DIC corruption: no valid decode exists at PC 0x" +
             std::to_string(pc));
     }
-    goldenScratch_ = *di;
-    return &goldenScratch_;
+    return e.di;
 }
 
 namespace
@@ -445,23 +424,19 @@ sameDecode(const DecodedInst& a, const DecodedInst& g)
 void
 CrispCpu::checkDecodedEntry(const DecodedInst& di) const
 {
-    const DecodedInst* golden = goldenDecodeAt(di.pc, cfg_.foldPolicy);
-    if (sameDecode(di, *golden))
+    const DecodedInst& golden = goldenDecodeAt(di.pc, cfg_.foldPolicy);
+    if (sameDecode(di, golden))
         return;
     // A fold decision is a hint: an entry that decodes the same
     // instruction unfolded (the no-fold golden) is architecturally
     // valid too, it just costs an extra EU slot for the branch.
-    if (golden->folded) {
-        if (sameDecode(di, *goldenDecodeAt(di.pc, FoldPolicy::kNone)))
-            return;
-        // On the legacy path the no-fold decode clobbered the shared
-        // scratch slot; re-derive the policy golden for the message.
-        golden = goldenDecodeAt(di.pc, cfg_.foldPolicy);
-    }
+    if (golden.folded &&
+        sameDecode(di, goldenDecodeAt(di.pc, FoldPolicy::kNone)))
+        return;
     throw DicCorruptionError(
         "DIC corruption detected at retire: cached entry [" +
         di.toString() + "] is not a valid decode of the text at 0x" +
-        std::to_string(di.pc) + " (golden: [" + golden->toString() +
+        std::to_string(di.pc) + " (golden: [" + golden.toString() +
         "])");
 }
 

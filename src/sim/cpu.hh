@@ -44,7 +44,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "config.hh"
 #include "decoded.hh"
@@ -184,7 +183,7 @@ class CrispCpu
     void retireStage(ExecObserver* observer);
     void retireImpl(ExecObserver* observer);
     void recordFault(Addr pc, const std::string& reason);
-    const DecodedInst* goldenDecodeAt(Addr pc, FoldPolicy policy) const;
+    const DecodedInst& goldenDecodeAt(Addr pc, FoldPolicy policy) const;
     void checkDecodedEntry(const DecodedInst& di) const;
     void executeBody(const DecodedInst& di);
     Word readOperand(const Operand& o) const;
@@ -202,9 +201,9 @@ class CrispCpu
     SimStats stats_;
     /** Predecode tables shared by the PDU's PDR stage and the
      *  retire-time checker. Owned unless the caller supplied a shared
-     *  cache (or the legacy path is forced, leaving it null). */
+     *  cache. */
     std::unique_ptr<PredecodeCache> ownedPredecode_;
-    PredecodeCache* predecode_;
+    PredecodeCache& predecode_;
     Pdu pdu_;
 
     // Architectural state.
@@ -247,12 +246,6 @@ class CrispCpu
     // Operand-side stack cache (statistics; optional miss penalty).
     mutable StackCache stackCache_;
     std::uint64_t penaltyStall_ = 0;
-
-    // Reused decode window for the legacy (usePredecode = false)
-    // golden-decode path, plus a scratch slot for its result — the
-    // checker allocates nothing per retire on either path.
-    mutable std::vector<Parcel> goldenWindow_;
-    mutable DecodedInst goldenScratch_;
 
     // Optional per-cycle tracing.
     std::function<void(const std::string&)> traceSink_;

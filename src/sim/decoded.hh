@@ -90,6 +90,8 @@ struct DecodedInst
     /** Total parcels consumed from the instruction stream. */
     int totalParcels = 1;
 
+    bool operator==(const DecodedInst&) const = default;
+
     bool
     hasCondBranch() const
     {
@@ -131,9 +133,21 @@ class FoldDecoder
      */
     int windowNeed(Parcel parcel0) const;
 
-    /** As above with instructionLength(parcel0) already in hand, so the
-     *  per-cycle PDR gate derives the length exactly once. */
-    int windowNeed(Parcel parcel0, int len) const;
+    /**
+     * The PDR window gate: does decodeAt yield an entry from a window
+     * of @p parcels parcels that starts with @p parcel0? It does once
+     * the instruction is visible and either its fold lookahead is too
+     * or the window ends the text (@p at_end). decodeAt reads at most
+     * windowNeed(parcel0) parcels, so once the gate opens its result no
+     * longer depends on the window size.
+     */
+    bool
+    windowReady(Parcel parcel0, int parcels, bool at_end) const
+    {
+        const int len = instructionLength(parcel0);
+        return parcels >= len &&
+               (at_end || parcels >= windowNeed(parcel0, len));
+    }
 
     /**
      * Decode one (possibly folded) entry.
@@ -152,6 +166,9 @@ class FoldDecoder
     FoldPolicy policy() const { return policy_; }
 
   private:
+    /** windowNeed with instructionLength(parcel0) already in hand. */
+    int windowNeed(Parcel parcel0, int len) const;
+
     FoldPolicy policy_;
 };
 

@@ -9,26 +9,20 @@ namespace crisp
 {
 
 Pdu::Pdu(const Program& prog, const SimConfig& cfg, DecodedCache& dic,
-         SimStats& stats, PredecodeCache* predecode)
+         SimStats& stats, PredecodeCache& predecode)
     : prog_(prog), cfg_(cfg), dic_(dic), stats_(stats),
-      decoder_(cfg.foldPolicy), textEnd_(prog.textEnd())
+      decoder_(cfg.foldPolicy), textEnd_(prog.textEnd()),
+      predecode_(predecode)
 {
-    if (cfg.queueParcels < 1 || cfg.queueParcels > ParcelRing::kStorage)
+    if (cfg.queueParcels < 1 || cfg.queueParcels > kMaxQueueParcels)
         throw CrispError("PDU: queueParcels must be in [1, 64]");
-    if (cfg.usePredecode) {
-        predecode_ = predecode;
-        if (predecode_ == nullptr) {
-            ownedPredecode_ = std::make_unique<PredecodeCache>(prog);
-            predecode_ = ownedPredecode_.get();
-        }
-    }
     redirect(prog.entry);
 }
 
 void
 Pdu::redirect(Addr pc)
 {
-    queue_.clear();
+    queued_ = 0;
     decodePc_ = pc;
     prefetchPc_ = pc;
     paused_ = false;
@@ -43,7 +37,7 @@ Pdu::streaming_toward(Addr pc) const
         return true;
     if (paused_)
         return false;
-    Addr end = decodePc_ + static_cast<Addr>(queue_.size()) * kParcelBytes;
+    Addr end = queueEnd();
     if (memBusy_ && memAddr_ == end)
         end += static_cast<Addr>(memParcels_) * kParcelBytes;
     // Also count the block the prefetcher will request next: the stream
@@ -72,19 +66,11 @@ Pdu::pureWaitUntil(Addr issue_pc) const
         return 0;
     if (!streaming_toward(issue_pc))
         return 0; // a demand this cycle would redirect the stream
-    if (!queue_.empty()) {
+    if (queued_ > 0) {
         if (dic_.lookup(decodePc_) != nullptr)
             return 0; // the PDR stage would park
-        // Mirror of the PDR window gate: if enough parcels are queued
-        // the PDR would decode (a state change); otherwise it waits for
-        // the fetch no matter which decode path is configured.
-        const Parcel p0 = queue_.front();
-        const int len = instructionLength(p0);
-        const int q = queue_.size();
-        const bool at_end =
-            decodePc_ + static_cast<Addr>(q) * kParcelBytes >= textEnd_;
-        if (q >= len && (at_end || q >= decoder_.windowNeed(p0, len)))
-            return 0;
+        if (windowReady())
+            return 0; // the PDR stage would decode (a state change)
     }
     // PIR empty, PDR starved, prefetch blocked on the busy port: ticks
     // strictly before memReadyCycle_ cannot change any modelled state.
@@ -110,10 +96,9 @@ Pdu::tick(std::uint64_t now)
             dic_.fill(*pirSrc_);
             ++stats_.pduFills;
         } else {
-            if (pirSrc_ != &pirCopy_)
-                pirCopy_ = *pirSrc_;
-            if (hooks_->onDicFill(pirCopy_)) {
-                dic_.fill(pirCopy_);
+            DecodedInst copy = *pirSrc_;
+            if (hooks_->onDicFill(copy)) {
+                dic_.fill(copy);
                 ++stats_.pduFills;
             }
         }
@@ -121,13 +106,11 @@ Pdu::tick(std::uint64_t now)
 
     // Memory completion: parcels arrive at the queue tail. A block that
     // no longer extends the queue (the stream was redirected while it
-    // was in flight) is discarded. The block was validated against the
-    // text segment when the fetch was issued, so it lands as one copy.
+    // was in flight) is discarded, so the queue only ever holds the
+    // text from decodePc_ onward.
     if (memBusy_ && now >= memReadyCycle_) {
         memBusy_ = false;
-        const Addr end =
-            decodePc_ + static_cast<Addr>(queue_.size()) * kParcelBytes;
-        if (memAddr_ == end) {
+        if (memAddr_ == queueEnd()) {
             // Same guards (and fault messages) parcelAt applied per
             // parcel, hoisted to the block: a corrupted redirect can
             // park the fetch address anywhere. A block starting aligned
@@ -137,9 +120,7 @@ Pdu::tick(std::uint64_t now)
                 throw CrispError("unaligned parcel fetch");
             if (!prog_.inText(memAddr_))
                 throw CrispError("parcel fetch outside text segment");
-            queue_.append(prog_.text.data() +
-                              (memAddr_ - prog_.textBase) / kParcelBytes,
-                          memParcels_);
+            queued_ += memParcels_;
             // Decode may have followed a call or jump straight into
             // this block while it was in flight, pointing the
             // prefetcher back at it: the next block starts after it.
@@ -149,70 +130,40 @@ Pdu::tick(std::uint64_t now)
     }
 
     // Stage 2 (PDR): decode (and fold) from the queue.
-    if (!paused_ && !queue_.empty()) {
+    if (!paused_ && queued_ > 0) {
         if (dic_.lookup(decodePc_) != nullptr) {
             // Wrapped into already decoded code (e.g. around a loop):
             // park until a demand miss re-awakens the stream.
             paused_ = true;
-        } else {
-            const int q = queue_.size();
-            const Addr window_end =
-                decodePc_ + static_cast<Addr>(q) * kParcelBytes;
-            const bool at_end = window_end >= textEnd_;
+        } else if (windowReady()) {
+            // The gate opened, so the instruction fits in the text and
+            // its memoized entry is valid.
+            const DecodedInst* di =
+                &predecode_.at(decodePc_, cfg_.foldPolicy).di;
+            pirSrc_ = di; // stable predecode-table storage
+            pirValid_ = true;
+            if (di->folded)
+                ++stats_.pduFoldedPairs;
+            queued_ -= di->totalParcels;
+            decodePc_ += static_cast<Addr>(di->totalParcels) * kParcelBytes;
 
-            // decodeAt reads at most windowNeed(parcel0) parcels, so
-            // its result is independent of the window size once the
-            // queue holds that many (or runs to the end of text).
-            // Gating on occupancy here and reading the memoized decode
-            // is cycle-for-cycle identical to re-decoding the window.
-            const DecodedInst* di = nullptr;
-            std::optional<DecodedInst> redecoded;
-            if (predecode_ != nullptr) {
-                const Parcel p0 = queue_.front();
-                const int len = instructionLength(p0);
-                if (q >= len &&
-                    (at_end || q >= decoder_.windowNeed(p0, len))) {
-                    di = &predecode_->at(decodePc_, cfg_.foldPolicy).di;
-                }
-            } else {
-                redecoded = decoder_.decodeAt(decodePc_, queue_.window(),
-                                              at_end);
-                if (redecoded)
-                    di = &*redecoded;
+            // Follow the predicted instruction path.
+            const bool follow_taken =
+                di->ctl == Ctl::kJmp || di->ctl == Ctl::kCall ||
+                (di->hasCondBranch() && cfg_.respectPredictionBit &&
+                 di->predictTaken);
+            if (follow_taken && di->takenPc != decodePc_) {
+                queued_ = 0;
+                decodePc_ = di->takenPc;
+                prefetchPc_ = di->takenPc;
+            } else if (di->ctl == Ctl::kRet || di->ctl == Ctl::kIndirect ||
+                       di->ctl == Ctl::kHalt) {
+                paused_ = true;
             }
-
-            if (di != nullptr) {
-                if (predecode_ != nullptr) {
-                    pirSrc_ = di; // stable predecode-table storage
-                } else {
-                    pirCopy_ = *di; // the re-decode dies this cycle
-                    pirSrc_ = &pirCopy_;
-                }
-                pirValid_ = true;
-                if (di->folded)
-                    ++stats_.pduFoldedPairs;
-                queue_.pop_front(di->totalParcels);
-                decodePc_ +=
-                    static_cast<Addr>(di->totalParcels) * kParcelBytes;
-
-                // Follow the predicted instruction path.
-                const bool follow_taken =
-                    di->ctl == Ctl::kJmp || di->ctl == Ctl::kCall ||
-                    (di->hasCondBranch() && cfg_.respectPredictionBit &&
-                     di->predictTaken);
-                if (follow_taken && di->takenPc != decodePc_) {
-                    queue_.clear();
-                    decodePc_ = di->takenPc;
-                    prefetchPc_ = di->takenPc;
-                } else if (di->ctl == Ctl::kRet ||
-                           di->ctl == Ctl::kIndirect ||
-                           di->ctl == Ctl::kHalt) {
-                    paused_ = true;
-                }
-            } else if (at_end && !memBusy_ && prefetchPc_ >= textEnd_) {
-                throw CrispError("PDU: truncated instruction at end of "
-                                 "text segment");
-            }
+        } else if (queueEnd() >= textEnd_ && !memBusy_ &&
+                   prefetchPc_ >= textEnd_) {
+            throw CrispError("PDU: truncated instruction at end of "
+                             "text segment");
         }
     }
 
@@ -222,7 +173,7 @@ Pdu::tick(std::uint64_t now)
     // queue).
     if (!paused_ && !memBusy_) {
         const Addr text_end = textEnd_;
-        if (queue_.empty() && prefetchPc_ >= text_end) {
+        if (queued_ == 0 && prefetchPc_ >= text_end) {
             // The stream ran off the end of text and everything fetched
             // has been consumed: no stage can ever make progress again
             // without a redirect. Park so idle ticks take the early-out
@@ -231,7 +182,7 @@ Pdu::tick(std::uint64_t now)
             paused_ = true;
             return;
         }
-        const int room = cfg_.queueParcels - queue_.size();
+        const int room = cfg_.queueParcels - queued_;
         if (prefetchPc_ < text_end && room > 0) {
             const Addr remaining =
                 (text_end - prefetchPc_) / kParcelBytes;

@@ -10,19 +10,19 @@
  * predicted-taken folded branches), pauses when it wraps into already
  * decoded code, and is redirected by EU-side DIC misses.
  *
- * The PDR stage normally reads decode results from a whole-program
- * predecode cache (predecode.hh) — decode work happens once per
- * address, the cycle-accurate gating on queue occupancy is unchanged.
- * SimConfig::usePredecode = false forces the legacy re-decoding path.
+ * The PDR stage reads decode results from the whole-program predecode
+ * tables (predecode.hh): decode work happens once per address, and the
+ * stage gates each decode on queue occupancy exactly as re-decoding the
+ * queue would. The queue is modelled as an occupancy count. A fetch
+ * lands only when it extends the queue, so the queue always holds the
+ * text from the decode point onward, and the one parcel the gate reads
+ * (the first) comes straight from the text segment.
  */
 
 #ifndef CRISP_SIM_PDU_HH
 #define CRISP_SIM_PDU_HH
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <span>
 
 #include "config.hh"
 #include "decoded.hh"
@@ -38,14 +38,15 @@ namespace crisp
 class Pdu
 {
   public:
+    /** Largest instruction queue the model accepts, in parcels. */
+    static constexpr int kMaxQueueParcels = 64;
+
     /**
-     * @p predecode optionally shares a predecode cache with the owning
-     * CPU (so the PDR stage and the retire-time checker memoize into
-     * the same tables). When null and cfg.usePredecode is set, the PDU
-     * owns a private cache.
+     * @p predecode is the owning CPU's predecode cache: the PDR stage
+     * and the retire-time checker memoize into the same tables.
      */
     Pdu(const Program& prog, const SimConfig& cfg, DecodedCache& dic,
-        SimStats& stats, PredecodeCache* predecode = nullptr);
+        SimStats& stats, PredecodeCache& predecode);
 
     /**
      * Advance one cycle. Order of operations models the three stages:
@@ -86,72 +87,30 @@ class Pdu
     std::uint64_t pureWaitUntil(Addr issue_pc) const;
 
   private:
-    /**
-     * The instruction queue as a fixed-capacity, allocation-free
-     * buffer. Parcels stay physically contiguous (the head is
-     * compacted to the front when a push would run off the storage
-     * end), so the decode window is a plain span — no per-decode copy.
-     */
-    class ParcelRing
-    {
-      public:
-        static constexpr int kStorage = 64;
-
-        int size() const { return size_; }
-        bool empty() const { return size_ == 0; }
-        void clear() { head_ = 0; size_ = 0; }
-        Parcel front() const { return buf_[head_]; }
-
-        void
-        push_back(Parcel p)
-        {
-            if (head_ + size_ == kStorage) {
-                std::memmove(buf_, buf_ + head_,
-                             static_cast<std::size_t>(size_) *
-                                 sizeof(Parcel));
-                head_ = 0;
-            }
-            buf_[head_ + size_++] = p;
-        }
-
-        /** Append @p n contiguous parcels (one arriving fetch block). */
-        void
-        append(const Parcel* p, int n)
-        {
-            if (head_ + size_ + n > kStorage) {
-                std::memmove(buf_, buf_ + head_,
-                             static_cast<std::size_t>(size_) *
-                                 sizeof(Parcel));
-                head_ = 0;
-            }
-            std::memcpy(buf_ + head_ + size_, p,
-                        static_cast<std::size_t>(n) * sizeof(Parcel));
-            size_ += n;
-        }
-
-        void
-        pop_front(int n)
-        {
-            head_ += n;
-            size_ -= n;
-        }
-
-        std::span<const Parcel>
-        window() const
-        {
-            return {buf_ + head_, static_cast<std::size_t>(size_)};
-        }
-
-      private:
-        Parcel buf_[kStorage];
-        int head_ = 0;
-        int size_ = 0;
-    };
-
     void redirect(Addr pc);
 
     /** Is @p pc already covered by the queue or the decode stream? */
     bool streaming_toward(Addr pc) const;
+
+    /** Byte address just past the last queued parcel. */
+    Addr
+    queueEnd() const
+    {
+        return decodePc_ + static_cast<Addr>(queued_) * kParcelBytes;
+    }
+
+    /**
+     * The PDR window gate over the queue (queued_ > 0). Once it opens,
+     * the memoized decode is exactly what decoding the queue would
+     * produce. Only the first parcel is read, from the text itself.
+     */
+    bool
+    windowReady() const
+    {
+        return decoder_.windowReady(
+            prog_.text[(decodePc_ - prog_.textBase) / kParcelBytes],
+            queued_, queueEnd() >= textEnd_);
+    }
 
     const Program& prog_;
     const SimConfig& cfg_;
@@ -161,17 +120,16 @@ class Pdu
     /** prog_.textEnd(), hoisted out of the per-cycle stages. */
     const Addr textEnd_;
 
-    /** Predecode tables consulted by the PDR stage (null: legacy
-     *  re-decoding path). Not owned unless ownedPredecode_ is set. */
-    PredecodeCache* predecode_ = nullptr;
-    std::unique_ptr<PredecodeCache> ownedPredecode_;
+    /** Predecode tables consulted by the PDR stage (not owned). */
+    PredecodeCache& predecode_;
 
     /** Byte address of the next parcel the prefetcher will request. */
     Addr prefetchPc_ = 0;
     /** Byte address of the first parcel in the queue (decode point). */
     Addr decodePc_ = 0;
-    /** The instruction queue (parcels at decodePc_, decodePc_+2, ...). */
-    ParcelRing queue_;
+    /** Instruction queue occupancy in parcels: the queue holds the
+     *  text at decodePc_, decodePc_+2, ... */
+    int queued_ = 0;
 
     /** In-flight memory fetch. */
     bool memBusy_ = false;
@@ -181,15 +139,12 @@ class Pdu
 
     /**
      * PIR latch: entry decoded last cycle, to be written to the DIC.
-     * On the predecode path pirSrc_ points straight into the (stable)
-     * predecode table — the entry is copied once, into the DIC. The
-     * legacy path re-decoded into a temporary, so it latches a copy in
-     * pirCopy_; fault hooks also corrupt a private copy, never the
-     * shared tables.
+     * pirSrc_ points straight into the (stable) predecode table, so the
+     * entry is copied once, into the DIC. Fault hooks corrupt a private
+     * copy, never the shared tables.
      */
     bool pirValid_ = false;
     const DecodedInst* pirSrc_ = nullptr;
-    DecodedInst pirCopy_;
 
     /** Optional fault-injection hooks (not owned). */
     FaultHooks* hooks_ = nullptr;

@@ -63,7 +63,7 @@ class PredecodeCache
      * @p pc must be parcel aligned and inside the text segment.
      * Decode errors (e.g. an indirect conditional branch) propagate as
      * CrispError and are deliberately not memoized: every touch of a
-     * malformed address fails exactly like the re-decoding path does.
+     * malformed address fails, as FoldDecoder::decodeAt does.
      */
     const Entry&
     at(Addr pc, FoldPolicy policy)

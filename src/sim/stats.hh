@@ -158,8 +158,8 @@ struct SimStats
 
     /**
      * Bitwise-exact equality over every counter, flag and the fault
-     * string. The differential tests (tests/test_perf_paths.cc) use it
-     * to pin the predecode fast path to the legacy decode path.
+     * string. The replay tests (tests/test_perf_paths.cc) use it to pin
+     * reset() and shared predecode tables to a fresh machine.
      */
     bool operator==(const SimStats&) const = default;
 

@@ -22,7 +22,7 @@ struct PduRig
 {
     explicit PduRig(const std::string& src, SimConfig cfg = {})
         : prog(assemble(src)), config(cfg), dic(config.dicEntries),
-          pdu(prog, config, dic, stats)
+          tables(prog), pdu(prog, config, dic, stats, tables)
     {}
 
     /** Tick until the DIC holds @p pc or @p limit cycles pass. */
@@ -48,6 +48,7 @@ struct PduRig
     SimConfig config;
     DecodedCache dic;
     SimStats stats;
+    PredecodeCache tables;
     Pdu pdu;
     int now = 0;
 };
@@ -176,7 +177,8 @@ TEST(Pdu, TruncatedInstructionThrows)
     SimConfig cfg;
     SimStats stats;
     DecodedCache dic(cfg.dicEntries);
-    Pdu pdu(prog, cfg, dic, stats);
+    PredecodeCache tables(prog);
+    Pdu pdu(prog, cfg, dic, stats, tables);
     bool threw = false;
     try {
         for (int i = 0; i < 100; ++i)

@@ -1,22 +1,23 @@
 /**
  * @file
- * Differential tests pinning the predecode fast path to the legacy
- * re-decoding path (SimConfig::usePredecode = false).
+ * Tests pinning the cycle simulator's host-speed paths.
  *
- * The predecode cache and the allocation-free PDU queue are host-speed
- * optimizations only: for every program, configuration and cycle they
- * must produce bit-identical statistics and an identical architectural
- * retire stream. These tests sweep the torture generator's seeds across
- * all fold policies, with and without the retire-time decode checker,
- * and assert exact SimStats equality (operator==, which includes every
- * counter and the fault string) plus an event-for-event match of the
+ * The PDR stage decodes only through the whole-program predecode
+ * tables. PredecodeCache.AgreesWithEveryDecodeWindow proves that this
+ * matches decoding the instruction queue: for every text address, fold
+ * policy and window length, FoldDecoder::decodeAt yields an entry
+ * exactly when the PDR window gate opens, and that entry is the
+ * memoized one. Replays through a shared cache and CrispCpu::reset()
+ * must match fresh machines in SimStats (operator==, which includes
+ * every counter and the fault string) and event for event in the
  * retire-order instruction and branch traces.
  *
- * Unit tests at the bottom pin the PredecodeCache itself: per-policy
- * table isolation and agreement with a fresh FoldDecoder pass over the
- * whole text segment.
+ * MemoryImage::revert, which every reset leans on, is pinned at the
+ * bottom.
  */
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,131 +67,62 @@ struct RunResult
     RetireRecorder trace;
 };
 
-RunResult
-runWith(const Program& prog, SimConfig cfg, bool use_predecode)
-{
-    cfg.usePredecode = use_predecode;
-    cfg.maxCycles = 1'000'000;
-    RunResult r;
-    CrispCpu cpu(prog, cfg);
-    r.stats = cpu.run(&r.trace);
-    return r;
-}
-
 void
-expectIdentical(const RunResult& fast, const RunResult& legacy,
+expectIdentical(const RunResult& got, const RunResult& want,
                 const std::string& label)
 {
-    EXPECT_TRUE(fast.stats == legacy.stats)
-        << label << "\nfast:\n"
-        << fast.stats.toString() << "\nlegacy:\n"
-        << legacy.stats.toString();
-    ASSERT_EQ(fast.trace.instrs.size(), legacy.trace.instrs.size())
+    EXPECT_TRUE(got.stats == want.stats)
+        << label << "\ngot:\n"
+        << got.stats.toString() << "\nwant:\n"
+        << want.stats.toString();
+    ASSERT_EQ(got.trace.instrs.size(), want.trace.instrs.size())
         << label;
-    for (std::size_t i = 0; i < fast.trace.instrs.size(); ++i) {
-        ASSERT_EQ(fast.trace.instrs[i], legacy.trace.instrs[i])
+    for (std::size_t i = 0; i < got.trace.instrs.size(); ++i) {
+        ASSERT_EQ(got.trace.instrs[i], want.trace.instrs[i])
             << label << " instruction " << i;
     }
-    ASSERT_EQ(fast.trace.branches.size(), legacy.trace.branches.size())
+    ASSERT_EQ(got.trace.branches.size(), want.trace.branches.size())
         << label;
-    for (std::size_t i = 0; i < fast.trace.branches.size(); ++i) {
-        ASSERT_TRUE(sameBranchEvent(fast.trace.branches[i],
-                                    legacy.trace.branches[i]))
+    for (std::size_t i = 0; i < got.trace.branches.size(); ++i) {
+        ASSERT_TRUE(sameBranchEvent(got.trace.branches[i],
+                                    want.trace.branches[i]))
             << label << " branch " << i;
     }
 }
 
-// ------------------------------------------------ differential sweeps
-
-/** 100+ seeds x all fold policies: stats and traces bit-identical. */
-TEST(PerfPaths, DifferentialTortureSweep)
-{
-    constexpr std::uint64_t kSeeds = 100;
-    for (std::uint64_t s = 1; s <= kSeeds; ++s) {
-        const Program prog = generate(s).link();
-        for (FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
-                              FoldPolicy::kAll}) {
-            SimConfig cfg;
-            cfg.foldPolicy = fp;
-            const RunResult fast = runWith(prog, cfg, true);
-            const RunResult legacy = runWith(prog, cfg, false);
-            expectIdentical(fast, legacy,
-                            "seed " + std::to_string(s) + " fold " +
-                                std::to_string(static_cast<int>(fp)));
-        }
-    }
-}
-
-/** The checker's golden re-decode also goes through the cache: the
- *  checked configuration must stay bit-identical too. */
-TEST(PerfPaths, DifferentialWithDecodeChecker)
-{
-    for (std::uint64_t s = 1; s <= 30; ++s) {
-        const Program prog = generate(s).link();
-        SimConfig cfg;
-        cfg.checkDecode = true;
-        const RunResult fast = runWith(prog, cfg, true);
-        const RunResult legacy = runWith(prog, cfg, false);
-        expectIdentical(fast, legacy,
-                        "checked seed " + std::to_string(s));
-        EXPECT_FALSE(fast.stats.faulted);
-    }
-}
-
-/** Non-default machine shapes (tiny DIC, long memory latency, dynamic
- *  predictor) keep the paths identical as well. */
-TEST(PerfPaths, DifferentialConfigCorners)
-{
-    for (std::uint64_t s = 1; s <= 20; ++s) {
-        const Program prog = generate(s).link();
-        SimConfig cfg;
-        cfg.dicEntries = 8;
-        cfg.memLatency = 5;
-        cfg.queueParcels = 6;
-        cfg.predictor = PredictorKind::kDynamic2;
-        const RunResult fast = runWith(prog, cfg, true);
-        const RunResult legacy = runWith(prog, cfg, false);
-        expectIdentical(fast, legacy,
-                        "corner seed " + std::to_string(s));
-    }
-}
+// ------------------------------------------------------------ replays
 
 /** Replays through a shared PredecodeCache and through CrispCpu::reset()
  *  must be indistinguishable from fresh machines: identical stats,
- *  traces, and final architectural state, run after run, on both decode
- *  paths. This pins the crisptorture / bench_perf replay pattern. */
+ *  traces, and final architectural state, run after run. This pins the
+ *  crisptorture / bench_perf replay pattern. */
 TEST(PerfPaths, SharedCacheAndResetReplaysIdentical)
 {
     for (std::uint64_t s = 1; s <= 25; ++s) {
         const Program prog = generate(s).link();
-        for (bool use_predecode : {true, false}) {
-            SimConfig cfg;
-            cfg.usePredecode = use_predecode;
-            cfg.checkDecode = (s % 3 == 0);
-            cfg.maxCycles = 1'000'000;
+        SimConfig cfg;
+        cfg.checkDecode = (s % 3 == 0);
+        cfg.maxCycles = 1'000'000;
 
-            PredecodeCache shared(prog);
-            CrispCpu reused(prog, cfg,
-                            use_predecode ? &shared : nullptr);
-            for (int replay = 0; replay < 3; ++replay) {
-                RunResult fresh;
-                CrispCpu ref(prog, cfg);
-                fresh.stats = ref.run(&fresh.trace);
+        PredecodeCache shared(prog);
+        CrispCpu reused(prog, cfg, &shared);
+        for (int replay = 0; replay < 3; ++replay) {
+            RunResult fresh;
+            CrispCpu ref(prog, cfg);
+            fresh.stats = ref.run(&fresh.trace);
 
-                RunResult replayed;
-                if (replay != 0)
-                    reused.reset();
-                replayed.stats = reused.run(&replayed.trace);
+            RunResult replayed;
+            if (replay != 0)
+                reused.reset();
+            replayed.stats = reused.run(&replayed.trace);
 
-                expectIdentical(replayed, fresh,
-                                "seed " + std::to_string(s) +
-                                    " replay " + std::to_string(replay) +
-                                    (use_predecode ? " fast" : " legacy"));
-                EXPECT_EQ(reused.sp(), ref.sp());
-                EXPECT_EQ(reused.accum(), ref.accum());
-                EXPECT_EQ(reused.flag(), ref.flag());
-                EXPECT_EQ(reused.nextIssuePc(), ref.nextIssuePc());
-            }
+            expectIdentical(replayed, fresh,
+                            "seed " + std::to_string(s) + " replay " +
+                                std::to_string(replay));
+            EXPECT_EQ(reused.sp(), ref.sp());
+            EXPECT_EQ(reused.accum(), ref.accum());
+            EXPECT_EQ(reused.flag(), ref.flag());
+            EXPECT_EQ(reused.nextIssuePc(), ref.nextIssuePc());
         }
     }
 }
@@ -231,31 +163,57 @@ TEST(PredecodeCache, PolicyTablesAreIsolated)
     EXPECT_EQ(crisp.di.totalParcels, none.di.totalParcels + 1);
 }
 
-/** Every memoized entry equals a fresh maximal-window decode. */
-TEST(PredecodeCache, AgreesWithFreshDecode)
+/**
+ * The PDR stage gates on queue occupancy, then reads the memoized entry
+ * in place of decoding the queue. For every text parcel address, fold
+ * policy and window length w up to one past the longest instruction, a
+ * fresh decodeAt over the w parcels at that address must yield an entry
+ * exactly when the PDR gate (FoldDecoder::windowReady) opens, that
+ * entry must equal the memoized one field by field, and a window that
+ * throws must make the table throw too.
+ */
+TEST(PredecodeCache, AgreesWithEveryDecodeWindow)
 {
-    for (std::uint64_t s : {3u, 11u, 42u}) {
+    for (std::uint64_t s = 1; s <= 200; ++s) {
         const Program prog = generate(s).link();
         PredecodeCache cache(prog);
+        const std::size_t n = prog.text.size();
         for (FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
                               FoldPolicy::kAll}) {
             const FoldDecoder dec(fp);
-            Addr pc = prog.textBase;
-            while (pc < prog.textEnd()) {
-                const std::size_t idx =
-                    (pc - prog.textBase) / kParcelBytes;
-                const std::span<const Parcel> window(
-                    prog.text.data() + idx, prog.text.size() - idx);
-                const auto fresh = dec.decodeAt(pc, window, true);
-                ASSERT_TRUE(fresh.has_value());
-                const auto& cached = cache.at(pc, fp);
-                ASSERT_TRUE(cached.valid);
-                EXPECT_EQ(cached.di.toString(), fresh->toString());
-                EXPECT_EQ(cached.di.totalParcels, fresh->totalParcels);
-                EXPECT_EQ(cached.di.writesCc, fresh->writesCc);
-                EXPECT_EQ(cached.di.predictTaken, fresh->predictTaken);
-                pc += static_cast<Addr>(fresh->totalParcels) *
-                      kParcelBytes;
+            for (std::size_t idx = 0; idx < n; ++idx) {
+                const Addr pc =
+                    prog.textBase + static_cast<Addr>(idx) * kParcelBytes;
+                const std::size_t max_w = std::min<std::size_t>(
+                    n - idx, static_cast<std::size_t>(kMaxParcels) + 1);
+                for (std::size_t w = 0; w <= max_w; ++w) {
+                    const bool at_end = idx + w == n;
+                    const bool gate = dec.windowReady(
+                        prog.text[idx], static_cast<int>(w), at_end);
+                    const auto where = [&] {
+                        return "seed " + std::to_string(s) + " fold " +
+                               std::to_string(static_cast<int>(fp)) +
+                               " pc " + std::to_string(pc) + " window " +
+                               std::to_string(w);
+                    };
+                    std::optional<DecodedInst> fresh;
+                    try {
+                        fresh = dec.decodeAt(
+                            pc, {prog.text.data() + idx, w}, at_end);
+                    } catch (const CrispError&) {
+                        EXPECT_THROW(cache.at(pc, fp), CrispError)
+                            << where();
+                        continue;
+                    }
+                    ASSERT_EQ(fresh.has_value(), gate) << where();
+                    if (!gate)
+                        continue;
+                    const PredecodeCache::Entry& e = cache.at(pc, fp);
+                    ASSERT_TRUE(e.valid) << where();
+                    ASSERT_TRUE(*fresh == e.di)
+                        << where() << "\nwindow: " << fresh->toString()
+                        << "\ntable:  " << e.di.toString();
+                }
             }
         }
     }
@@ -272,8 +230,8 @@ TEST(PredecodeCache, RejectsBadAddresses)
                  CrispError);
 }
 
-/** The queue ring has fixed storage; configs beyond it must be caught
- *  at construction, not corrupt memory later. */
+/** The instruction queue size is validated input: a queue outside
+ *  [1, Pdu::kMaxQueueParcels] is rejected at construction. */
 TEST(PerfPaths, OversizedQueueRejected)
 {
     const Program prog = generate(1).link();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "asm/assembler.hh"
 #include "sim/cpu.hh"
@@ -95,18 +96,39 @@ class TortureSeeds : public ::testing::TestWithParam<int>
 {
 };
 
+/** Each fold policy, plus a corner machine: a tiny DIC, slow memory
+ *  and a short queue keep the PDR window gate and the prefetch clipping
+ *  busy, under a dynamic predictor and the retire-time decode checker. */
+std::vector<SimConfig>
+tortureConfigs()
+{
+    std::vector<SimConfig> cfgs;
+    for (FoldPolicy fp :
+         {FoldPolicy::kNone, FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+        cfgs.emplace_back();
+        cfgs.back().foldPolicy = fp;
+    }
+    SimConfig corner;
+    corner.dicEntries = 8;
+    corner.memLatency = 5;
+    corner.queueParcels = 6;
+    corner.predictor = PredictorKind::kDynamic2;
+    corner.checkDecode = true;
+    cfgs.push_back(corner);
+    return cfgs;
+}
+
 TEST_P(TortureSeeds, PipelineMatchesInterpreterAcrossFoldPolicies)
 {
     const auto seed = static_cast<std::uint64_t>(GetParam());
     const Program prog = verify::generate(seed).link();
-    for (FoldPolicy fp :
-         {FoldPolicy::kNone, FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+    const std::vector<SimConfig> cfgs = tortureConfigs();
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
         LockstepOptions opt;
-        opt.cfg.foldPolicy = fp;
+        opt.cfg = cfgs[c];
         const LockstepReport rep = verify::runLockstep(prog, opt);
         EXPECT_TRUE(rep.ok())
-            << "seed " << seed << " fold " << static_cast<int>(fp)
-            << ":\n"
+            << "seed " << seed << " config " << c << ":\n"
             << rep.toString();
     }
 }

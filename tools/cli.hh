@@ -1,0 +1,53 @@
+/**
+ * @file
+ * Command-line helpers shared by the tools: the `--key=value` matcher
+ * and a strict numeric parser. A numeric flag reads its whole value
+ * with std::from_chars and checks a range, so a malformed or
+ * out-of-range value is a usage error (exit 2), never a silent 0 or a
+ * truncated prefix.
+ */
+
+#ifndef CRISP_TOOLS_CLI_HH
+#define CRISP_TOOLS_CLI_HH
+
+#include <charconv>
+#include <cstring>
+#include <string>
+#include <system_error>
+#include <type_traits>
+
+namespace crisp::cli
+{
+
+/** The text after @p key (e.g. "--dic=") when @p arg starts with it,
+ *  else null. */
+inline const char*
+flag(const std::string& arg, const char* key)
+{
+    const std::size_t n = std::strlen(key);
+    return arg.compare(0, n, key) == 0 ? arg.c_str() + n : nullptr;
+}
+
+/**
+ * Parse all of @p text as a decimal integer in [@p lo, @p hi] into
+ * @p out. @return false, leaving @p out untouched, when the text is
+ * empty, has anything but digits (a sign only where T is signed), or
+ * lies outside the range.
+ */
+template <class T>
+bool
+parseInt(const char* text, T& out, std::type_identity_t<T> lo,
+         std::type_identity_t<T> hi)
+{
+    const char* end = text + std::strlen(text);
+    T v{};
+    const auto [stop, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc{} || stop != end || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+} // namespace crisp::cli
+
+#endif // CRISP_TOOLS_CLI_HH

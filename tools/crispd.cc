@@ -29,7 +29,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -42,6 +41,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "cli.hh"
 #include "service/service.hh"
 
 namespace
@@ -183,29 +183,31 @@ main(int argc, char** argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        const auto val = [&](const char* key) { return cli::flag(a, key); };
         if (const char* v = val("--socket=")) {
             socket_path = v;
         } else if (const char* v2 = val("--workers=")) {
-            cfg.workers = std::atoi(v2);
+            if (!cli::parseInt(v2, cfg.workers, 1, 256))
+                return usage();
         } else if (const char* v3 = val("--queue-cap=")) {
-            cfg.queueCap = static_cast<std::size_t>(std::atol(v3));
+            if (!cli::parseInt(v3, cfg.queueCap, 1, 1'000'000))
+                return usage();
         } else if (const char* v4 = val("--deadline-ms=")) {
-            cfg.defaultDeadlineMs =
-                static_cast<std::uint32_t>(std::atol(v4));
+            if (!cli::parseInt(v4, cfg.defaultDeadlineMs, 1,
+                               cfg.maxDeadlineMs))
+                return usage();
         } else if (const char* v5 = val("--max-image-bytes=")) {
-            cfg.maxImageBytes = static_cast<std::size_t>(std::atol(v5));
+            if (!cli::parseInt(v5, cfg.maxImageBytes, 1, cfg.maxMemBytes))
+                return usage();
         } else if (const char* v6 = val("--quarantine-strikes=")) {
-            cfg.quarantineStrikes = std::atoi(v6);
+            if (!cli::parseInt(v6, cfg.quarantineStrikes, 1, 1000))
+                return usage();
         } else if (const char* v7 = val("--retry-cap=")) {
-            cfg.retryCap =
-                static_cast<std::uint8_t>(std::atoi(v7));
+            if (!cli::parseInt(v7, cfg.retryCap, 0, 255))
+                return usage();
         } else if (const char* v8 = val("--chaos-per-mille=")) {
-            cfg.transientFaultPerMille =
-                static_cast<std::uint32_t>(std::atol(v8));
+            if (!cli::parseInt(v8, cfg.transientFaultPerMille, 0, 1000))
+                return usage();
         } else {
             return usage();
         }

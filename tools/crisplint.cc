@@ -34,13 +34,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/checks.hh"
 #include "asm/assembler.hh"
+#include "cli.hh"
 #include "isa/objfile.hh"
 
 namespace
@@ -178,10 +178,7 @@ main(int argc, char** argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        const auto val = [&](const char* key) { return cli::flag(a, key); };
         if (a == "--dot") {
             dot = true;
         } else if (a == "--json") {
@@ -215,8 +212,7 @@ main(int argc, char** argv)
             else
                 return usage();
         } else if (const char* v3 = val("--stack-words=")) {
-            opt.stackCacheWords = std::atoi(v3);
-            if (opt.stackCacheWords <= 0)
+            if (!cli::parseInt(v3, opt.stackCacheWords, 1, 65536))
                 return usage();
         } else if (!a.empty() && a[0] == '-') {
             return usage();

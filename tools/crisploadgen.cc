@@ -42,7 +42,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -56,6 +55,7 @@
 #include <unistd.h>
 
 #include "asm/assembler.hh"
+#include "cli.hh"
 #include "isa/objfile.hh"
 #include "service/protocol.hh"
 
@@ -773,10 +773,7 @@ main(int argc, char** argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        const auto val = [&](const char* key) { return cli::flag(a, key); };
         if (const char* v = val("--socket=")) {
             socket_path = v;
         } else if (const char* v2 = val("--spawn=")) {
@@ -786,9 +783,11 @@ main(int argc, char** argv)
         } else if (a == "--smoke") {
             smoke = true;
         } else if (const char* v3 = val("--clients=")) {
-            clients = std::atoi(v3);
+            if (!cli::parseInt(v3, clients, 1, 256))
+                return usage();
         } else if (const char* v4 = val("--jobs=")) {
-            jobs = std::atoi(v4);
+            if (!cli::parseInt(v4, jobs, 1, 1'000'000))
+                return usage();
         } else {
             return usage();
         }

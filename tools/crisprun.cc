@@ -33,17 +33,18 @@
  * crispcc --delay-slots.
  */
 
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "asm/assembler.hh"
 #include "baseline/delayed.hh"
-#include "analysis/checks.hh"
 #include "cc/compiler.hh"
+#include "cli.hh"
 #include "interp/interpreter.hh"
 #include "isa/objfile.hh"
 #include "predict/profile.hh"
@@ -81,8 +82,9 @@ usage()
         "  --machine=pipeline|interp|delayed   (default pipeline)\n"
         "  --engine=fast|cycle|interp  (fast: threaded functional "
         "engine)\n"
-        "  --fold=none|crisp|all  --dic=N  --mem-latency=N\n"
-        "  --stack-cache=N  --stack-penalty=N  --no-predict-bit\n"
+        "  --fold=none|crisp|all  --dic=N (power of two <= 65536)\n"
+        "  --mem-latency=N (0-10000)  --stack-cache=N (1-65536)\n"
+        "  --stack-penalty=N (0-10000)  --no-predict-bit\n"
         "  --max-cycles=N  --profile-opt  --annul  --trace[=N]  "
         "--stats  --histogram\n"
         "  --stats-json FILE  (pipeline only; \"-\" for stdout)\n"
@@ -111,10 +113,7 @@ main(int argc, char** argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        const auto val = [&](const char* key) { return cli::flag(a, key); };
         if (const char* v = val("--machine=")) {
             machine = v;
         } else if (const char* ve = val("--engine=")) {
@@ -138,16 +137,23 @@ main(int argc, char** argv)
             else
                 return usage();
         } else if (const char* v3 = val("--dic=")) {
-            cfg.dicEntries = std::atoi(v3);
+            // --dic and --mem-latency take the ranges crispd admits.
+            if (!cli::parseInt(v3, cfg.dicEntries, 1, 65536) ||
+                !std::has_single_bit(
+                    static_cast<unsigned>(cfg.dicEntries)))
+                return usage();
         } else if (const char* v4 = val("--mem-latency=")) {
-            cfg.memLatency = std::atoi(v4);
+            if (!cli::parseInt(v4, cfg.memLatency, 0, 10'000))
+                return usage();
         } else if (const char* v5 = val("--stack-cache=")) {
-            cfg.stackCacheWords = std::atoi(v5);
+            if (!cli::parseInt(v5, cfg.stackCacheWords, 1, 65536))
+                return usage();
         } else if (const char* v6 = val("--stack-penalty=")) {
-            cfg.stackCacheMissPenalty = std::atoi(v6);
+            if (!cli::parseInt(v6, cfg.stackCacheMissPenalty, 0, 10'000))
+                return usage();
         } else if (const char* v8 = val("--max-cycles=")) {
-            cfg.maxCycles = std::strtoull(v8, nullptr, 10);
-            if (cfg.maxCycles == 0)
+            if (!cli::parseInt(v8, cfg.maxCycles, 1,
+                               std::numeric_limits<std::uint64_t>::max()))
                 return usage();
         } else if (a == "--no-predict-bit") {
             cfg.respectPredictionBit = false;
@@ -166,7 +172,9 @@ main(int argc, char** argv)
         } else if (a == "--trace") {
             trace_cycles = 200;
         } else if (const char* v7 = val("--trace=")) {
-            trace_cycles = std::atol(v7);
+            if (!cli::parseInt(v7, trace_cycles, 0,
+                               std::numeric_limits<long>::max()))
+                return usage();
         } else if (!a.empty() && a[0] == '-') {
             return usage();
         } else if (input.empty()) {
@@ -245,74 +253,30 @@ main(int argc, char** argv)
             return s.halted ? 0 : 3;
         }
 
-        if (machine == "fast") {
-            // Feed proven indirect-target sets to the translator:
-            // singleton sets let traces chain through indirect
-            // dispatches (runtime-guarded, so a stale proof can never
-            // corrupt execution).
-            analysis::AnalysisOptions aopt;
-            aopt.predict = analysis::PredictConvention::kNone;
-            aopt.foldInfo = false;
-            const analysis::AnalysisResult ar =
-                analysis::analyzeProgram(prog, aopt);
-            IndirectHints hints;
-            if (!ar.hasErrors())
-                hints = analysis::hintsFromTargets(ar.targets);
-            FastEngine eng(prog, cfg, nullptr, nullptr, &hints);
-            const SimStats& s = eng.run();
-            std::printf("exit value: %d\n",
-                        static_cast<int>(eng.accum()));
-            if (want_stats)
-                std::fputs(s.toString().c_str(), stdout);
-            if (!stats_json_path.empty()) {
-                const std::string json = s.toJson() + "\n";
-                if (stats_json_path == "-") {
-                    std::fputs(json.c_str(), stdout);
-                } else {
-                    std::ofstream out(stats_json_path);
-                    if (!out)
-                        throw CrispError("cannot write: " +
-                                         stats_json_path);
-                    out << json;
-                }
-            }
-            if (want_histogram) {
-                InterpResult hist;
-                hist.instructions = s.apparent;
-                hist.opcodeCounts = s.opcodeCounts;
-                std::fputs(hist.histogramTable().c_str(), stdout);
-            }
-            if (s.faulted) {
-                std::fprintf(stderr,
-                             "crisprun: machine fault at 0x%x: %s\n",
-                             static_cast<unsigned>(s.faultPc),
-                             s.faultReason.c_str());
-                return 4;
-            }
-            if (!s.halted) {
-                std::fprintf(
-                    stderr,
-                    "crisprun: cycle limit exceeded "
-                    "(%llu instructions) without reaching halt\n",
-                    static_cast<unsigned long long>(s.apparent));
-                return 3;
-            }
-            return 0;
-        }
-
-        if (machine != "pipeline")
+        const bool fast = machine == "fast";
+        if (!fast && machine != "pipeline")
             return usage();
 
-        CrispCpu cpu(prog, cfg);
-        if (trace_cycles > 0) {
-            long remaining = trace_cycles;
-            cpu.setTraceSink([&remaining](const std::string& line) {
-                if (remaining-- > 0)
-                    std::puts(line.c_str());
-            });
+        std::optional<FastEngine> eng;
+        std::optional<CrispCpu> cpu;
+        if (fast) {
+            eng.emplace(prog, cfg);
+            eng->run();
+        } else {
+            cpu.emplace(prog, cfg);
+            if (trace_cycles > 0) {
+                cpu->setTraceSink(
+                    [remaining = trace_cycles](
+                        const std::string& line) mutable {
+                        if (remaining-- > 0)
+                            std::puts(line.c_str());
+                    });
+            }
+            cpu->run();
         }
-        const SimStats& s = cpu.run();
-        std::printf("exit value: %d\n", static_cast<int>(cpu.accum()));
+        const SimStats& s = fast ? eng->stats() : cpu->stats();
+        const Word accum = fast ? eng->accum() : cpu->accum();
+        std::printf("exit value: %d\n", static_cast<int>(accum));
         if (want_stats)
             std::fputs(s.toString().c_str(), stdout);
         if (!stats_json_path.empty()) {
@@ -341,10 +305,14 @@ main(int argc, char** argv)
             return 4;
         }
         if (!s.halted) {
+            // The fast engine keeps no cycle count: its limit is
+            // reported in instructions.
             std::fprintf(stderr,
                          "crisprun: cycle limit exceeded "
-                         "(%llu cycles) without reaching halt\n",
-                         static_cast<unsigned long long>(s.cycles));
+                         "(%llu %s) without reaching halt\n",
+                         static_cast<unsigned long long>(
+                             fast ? s.apparent : s.cycles),
+                         fast ? "instructions" : "cycles");
             return 3;
         }
         return 0;

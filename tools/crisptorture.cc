@@ -67,8 +67,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +75,7 @@
 #include "analysis/opt.hh"
 #include "analysis/oracle.hh"
 #include "cc/compiler.hh"
+#include "cli.hh"
 #include "util/thread_pool.hh"
 #include "util/watchdog.hh"
 #include "verify/enginediff.hh"
@@ -109,6 +109,11 @@ struct Options
     int jobs = util::ThreadPool::defaultThreads();
     bool verbose = false;
 };
+
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+/** Flag ranges: a watchdog of at most a day, at most 256 threads. */
+constexpr std::uint64_t kMaxTimeoutMs = 86'400'000;
+constexpr int kMaxJobs = 256;
 
 int
 usage()
@@ -799,14 +804,13 @@ main(int argc, char** argv)
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        const auto val = [&](const char* key) { return cli::flag(a, key); };
         if (const char* v = val("--seeds=")) {
-            opt.seeds = std::strtoull(v, nullptr, 10);
+            if (!cli::parseInt(v, opt.seeds, 1, kMaxU64))
+                return usage();
         } else if (const char* v2 = val("--seed0=")) {
-            opt.seed0 = std::strtoull(v2, nullptr, 10);
+            if (!cli::parseInt(v2, opt.seed0, 0, kMaxU64))
+                return usage();
         } else if (const char* v3 = val("--configs=")) {
             const std::string c = v3;
             if (c == "quick")
@@ -832,21 +836,25 @@ main(int argc, char** argv)
         } else if (a == "--opt") {
             opt.optMode = true;
         } else if (const char* v5 = val("--max-steps=")) {
-            opt.maxSteps = std::strtoull(v5, nullptr, 10);
+            if (!cli::parseInt(v5, opt.maxSteps, 1, kMaxU64))
+                return usage();
         } else if (const char* v7 = val("--timeout-ms=")) {
-            opt.timeoutMs = std::strtoull(v7, nullptr, 10);
+            if (!cli::parseInt(v7, opt.timeoutMs, 0, kMaxTimeoutMs))
+                return usage();
         } else if (const char* v6 = val("--jobs=")) {
-            opt.jobs = std::atoi(v6);
+            if (!cli::parseInt(v6, opt.jobs, 1, kMaxJobs))
+                return usage();
         } else if (a == "--jobs" && i + 1 < argc) {
-            opt.jobs = std::atoi(argv[++i]);
+            if (!cli::parseInt(argv[++i], opt.jobs, 1, kMaxJobs))
+                return usage();
         } else if (a == "-v") {
             opt.verbose = true;
         } else {
             return usage();
         }
     }
-    if (opt.jobs < 1)
-        return usage();
+    if (opt.seeds > kMaxU64 - opt.seed0)
+        return usage(); // the seed range would wrap
 
     try {
         if (opt.shrinkDemo)
