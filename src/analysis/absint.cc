@@ -258,14 +258,13 @@ joinState(const AbsState& a, const AbsState& b)
     j.sp = hull(a.sp, b.sp);
     j.flag.mayTrue = a.flag.mayTrue || b.flag.mayTrue;
     j.flag.mayFalse = a.flag.mayFalse || b.flag.mayFalse;
-    for (const auto& [addr, va] : a.mem) {
-        const auto it = b.mem.find(addr);
-        if (it == b.mem.end())
-            continue; // top on the other side: drop the fact
-        const Interval h = hull(va, it->second);
-        if (!h.isTop())
-            j.mem.emplace(addr, h);
-    }
+    // A fact absent on either side is top there: only common ones stay.
+    forCommonKeys(a.mem, b.mem,
+                  [&](Addr addr, const Interval& va, const Interval& vb) {
+                      const Interval h = hull(va, vb);
+                      if (!h.isTop())
+                          j.mem.emplace_back(addr, h);
+                  });
     return j;
 }
 

@@ -47,6 +47,7 @@
 
 #include "cfg.hh"
 #include "fixpoint.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -137,8 +138,9 @@ struct AbsState
     Interval sp = kSpTop;
     FlagVal flag;
 
-    /** Proven word contents keyed by absolute byte address. */
-    std::map<Addr, Interval> mem;
+    /** Proven word contents keyed by absolute byte address, ascending;
+     *  an absent address holds top. */
+    FlatMap<Addr, Interval> mem;
 
     /** Reachable state with nothing proven (the lattice top). */
     static AbsState

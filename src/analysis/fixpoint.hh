@@ -46,6 +46,7 @@
 #include <set>
 
 #include "cfg.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -180,20 +181,18 @@ solveFixpoint(const Cfg& cfg, const Policy& p,
  * that grew counts one widening.
  */
 template <class Fact, class Grew>
-std::map<Addr, Fact>
-widenFacts(const std::map<Addr, Fact>& prev,
-           const std::map<Addr, Fact>& next, Grew grew, int& widenings)
+FlatMap<Addr, Fact>
+widenFacts(const FlatMap<Addr, Fact>& prev,
+           const FlatMap<Addr, Fact>& next, Grew grew, int& widenings)
 {
-    std::map<Addr, Fact> w;
-    for (const auto& [addr, vn] : next) {
-        const auto it = prev.find(addr);
-        if (it == prev.end())
-            continue;
-        if (grew(it->second, vn))
-            ++widenings;
-        else
-            w.emplace_hint(w.end(), addr, it->second);
-    }
+    FlatMap<Addr, Fact> w;
+    forCommonKeys(prev, next,
+                  [&](Addr addr, const Fact& vp, const Fact& vn) {
+                      if (grew(vp, vn))
+                          ++widenings;
+                      else
+                          w.emplace_back(addr, vp);
+                  });
     return w;
 }
 

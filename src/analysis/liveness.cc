@@ -6,6 +6,7 @@
 
 #include "liveness.hh"
 
+#include <algorithm>
 #include <iterator>
 
 namespace crisp::analysis

@@ -23,12 +23,12 @@
 #ifndef CRISP_ANALYSIS_LIVENESS_HH
 #define CRISP_ANALYSIS_LIVENESS_HH
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "absint.hh"
 #include "fixpoint.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -36,39 +36,34 @@ namespace crisp::analysis
 /**
  * Live memory words: either a finite live-set, or (after an
  * unresolvable read) "everything except a finite dead-set". The set is
- * a sorted vector: liveness copies and joins it at every node visit,
- * and the live data segment it carries is contiguous words.
+ * a FlatSet (flat.hh): liveness copies and joins it at every node
+ * visit, and the live data segment it carries is contiguous words.
  */
 struct MemLive
 {
     /** When true, every word is live except those in `words`. */
     bool all = false;
-    /** Live-set (all == false) or dead-set (all == true), ascending
-     *  with no duplicates. */
-    std::vector<Addr> words;
+    /** Live-set (all == false) or dead-set (all == true). */
+    FlatSet<Addr> words;
 
-    bool
-    isLive(Addr a) const
-    {
-        return std::binary_search(words.begin(), words.end(), a) != all;
-    }
+    bool isLive(Addr a) const { return words.contains(a) != all; }
 
     void
     gen(Addr a)
     {
         if (all)
-            erase(a);
+            words.erase(a);
         else
-            insert(a);
+            words.insert(a);
     }
 
     void
     kill(Addr a)
     {
         if (all)
-            insert(a);
+            words.insert(a);
         else
-            erase(a);
+            words.erase(a);
     }
 
     /** An unresolvable read: every word may be needed. */
@@ -80,23 +75,6 @@ struct MemLive
     }
 
     bool operator==(const MemLive&) const = default;
-
-  private:
-    void
-    insert(Addr a)
-    {
-        const auto it = std::lower_bound(words.begin(), words.end(), a);
-        if (it == words.end() || *it != a)
-            words.insert(it, a);
-    }
-
-    void
-    erase(Addr a)
-    {
-        const auto it = std::lower_bound(words.begin(), words.end(), a);
-        if (it != words.end() && *it == a)
-            words.erase(it);
-    }
 };
 
 /** Union of two MemLive sets. */

@@ -7,14 +7,73 @@
 
 #include "reachdefs.hh"
 
+#include <algorithm>
+#include <iterator>
+
 namespace crisp::analysis
 {
 
 namespace
 {
 
-/** Key-count cap; past it the map degrades to all-wild. */
-constexpr std::size_t kKeyCap = 512;
+using DefPairs = FlatSet<std::pair<LocKey, Addr>>;
+
+/** The end of the run of pairs from @p it on that define @p key. */
+DefPairs::const_iterator
+keyRunEnd(DefPairs::const_iterator it, DefPairs::const_iterator end,
+          LocKey key)
+{
+    while (it != end && it->first == key)
+        ++it;
+    return it;
+}
+
+/** Number of distinct locations in @p defs. */
+std::size_t
+keyCount(const DefPairs& defs)
+{
+    std::size_t n = 0;
+    for (auto it = defs.begin(); it != defs.end();
+         it = keyRunEnd(it, defs.end(), it->first)) {
+        ++n;
+    }
+    return n;
+}
+
+} // namespace
+
+std::vector<Addr>
+RdState::defsOf(LocKey key) const
+{
+    std::vector<Addr> sites;
+    for (auto it = defs.lower_bound({key, 0});
+         it != defs.end() && it->first == key; ++it) {
+        sites.push_back(it->second);
+    }
+    if (sites.empty())
+        sites.push_back(kWildDef);
+    return sites;
+}
+
+void
+RdState::define(LocKey key, Addr site)
+{
+    const auto first = defs.lower_bound({key, 0});
+    const auto last = keyRunEnd(first, defs.end(), key);
+    const bool new_key = first == last;
+    defs.erase(first, last);
+    defs.insert({key, site});
+    if (new_key && defs.size() > kRdKeyCap && keyCount(defs) > kRdKeyCap)
+        defs.clear();
+}
+
+void
+RdState::havocMem()
+{
+    // Memory locations are the non-negative keys, after kAccumLoc and
+    // kFlagLoc.
+    defs.erase(defs.lower_bound({0, 0}), defs.end());
+}
 
 RdState
 joinRd(const RdState& a, const RdState& b)
@@ -25,37 +84,34 @@ joinRd(const RdState& a, const RdState& b)
         return a;
     RdState j;
     j.reachable = true;
-    j.defs = a.defs;
-    for (auto& [k, set] : j.defs) {
-        const auto it = b.defs.find(k);
-        if (it == b.defs.end())
-            set.insert(kWildDef); // missing on the other side: wild
-        else
-            set.insert(it->second.begin(), it->second.end());
+    auto ia = a.defs.begin();
+    auto ib = b.defs.begin();
+    std::size_t keys = 0;
+    while (ia != a.defs.end() || ib != b.defs.end()) {
+        if (++keys > kRdKeyCap) {
+            j.defs.clear();
+            return j;
+        }
+        const LocKey k = ia == a.defs.end()   ? ib->first
+                         : ib == b.defs.end() ? ia->first
+                                              : std::min(ia->first, ib->first);
+        const auto ka = keyRunEnd(ia, a.defs.end(), k);
+        const auto kb = keyRunEnd(ib, b.defs.end(), k);
+        std::set_union(ia, ka, ib, kb, std::back_inserter(j.defs));
+        // Missing on one side means wild there. The wild site is the
+        // largest, so it would already be the run's last pair.
+        if ((ia == ka || ib == kb) &&
+            std::prev(j.defs.end())->second != kWildDef) {
+            j.defs.push_back({k, kWildDef});
+        }
+        ia = ka;
+        ib = kb;
     }
-    for (const auto& [k, set] : b.defs) {
-        if (j.defs.count(k))
-            continue;
-        auto& s = j.defs[k];
-        s = set;
-        s.insert(kWildDef);
-    }
-    if (j.defs.size() > kKeyCap)
-        j.defs.clear();
     return j;
 }
 
-/** Drop every memory key: an unresolvable store may have hit any word. */
-void
-havocMem(RdState& s)
+namespace
 {
-    for (auto it = s.defs.begin(); it != s.defs.end();) {
-        if (it->first >= 0)
-            it = s.defs.erase(it);
-        else
-            ++it;
-    }
-}
 
 /** Forward transfer of @p di over @p in. */
 RdState
@@ -68,14 +124,14 @@ transferRd(const DecodedInst& di, const RdState& in, Addr pc,
 
     const auto defMem = [&](const Operand& o) {
         if (o.mode == AddrMode::kInd) {
-            havocMem(s);
+            s.havocMem();
             return;
         }
         const auto a = operandAddress(o, pre);
         if (a)
-            s.defs[static_cast<LocKey>(*a)] = {pc};
+            s.define(static_cast<LocKey>(*a), pc);
         else
-            havocMem(s);
+            s.havocMem();
     };
 
     if (di.loneBranch || op == Opcode::kNop || op == Opcode::kHalt ||
@@ -85,25 +141,24 @@ transferRd(const DecodedInst& di, const RdState& in, Addr pc,
     } else if (op == Opcode::kCall) {
         const auto sp = pre.sp.constant();
         if (sp) {
-            s.defs[static_cast<LocKey>(*sp) -
-                   static_cast<LocKey>(kWordBytes)] = {pc};
+            s.define(static_cast<LocKey>(*sp) -
+                         static_cast<LocKey>(kWordBytes),
+                     pc);
         } else {
-            havocMem(s);
+            s.havocMem();
         }
     } else if (op == Opcode::kMov) {
         if (b.dst.mode == AddrMode::kAccum)
-            s.defs[kAccumLoc] = {pc};
+            s.define(kAccumLoc, pc);
         else
             defMem(b.dst);
     } else if (isCompare(op)) {
-        s.defs[kFlagLoc] = {pc};
+        s.define(kFlagLoc, pc);
     } else if (isAlu3(op)) {
-        s.defs[kAccumLoc] = {pc};
+        s.define(kAccumLoc, pc);
     } else if (isAlu2(op)) {
         defMem(b.dst);
     }
-    if (s.defs.size() > kKeyCap)
-        s.defs.clear();
     return s;
 }
 
@@ -252,11 +307,11 @@ findConstPropUses(const Cfg& cfg, const ReachDefsResult& rd,
             const auto a = operandAddress(*op, pre);
             if (!a)
                 continue;
-            const std::set<Addr> ds =
+            const std::vector<Addr> ds =
                 iit->second.defsOf(static_cast<LocKey>(*a));
-            if (ds.size() != 1 || *ds.begin() == kWildDef)
+            if (ds.size() != 1 || ds.front() == kWildDef)
                 continue;
-            const Addr d = *ds.begin();
+            const Addr d = ds.front();
             if (!cfg.has(d))
                 continue;
             const DecodedInst& ddi = cfg.node(d).di;
@@ -294,11 +349,11 @@ findRedundantCopies(const Cfg& cfg, const ReachDefsResult& rd,
 
         // The reaching definition of the destination must be a copy
         // between the same two words...
-        const std::set<Addr> ds =
+        const std::vector<Addr> ds =
             iit->second.defsOf(static_cast<LocKey>(*a));
         std::optional<Addr> cand;
-        if (ds.size() == 1 && *ds.begin() != kWildDef)
-            cand = *ds.begin();
+        if (ds.size() == 1 && ds.front() != kWildDef)
+            cand = ds.front();
 
         // ...and, to rule out a redefinition of the source anywhere
         // between, the copy must sit in the same single-entry chain:

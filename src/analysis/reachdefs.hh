@@ -22,10 +22,12 @@
 
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "absint.hh"
 #include "fixpoint.hh"
+#include "flat.hh"
 
 namespace crisp::analysis
 {
@@ -38,29 +40,43 @@ using LocKey = std::int64_t;
 inline constexpr LocKey kAccumLoc = -1;
 inline constexpr LocKey kFlagLoc = -2;
 
+/** Location count past which a state degrades to all-wild. */
+inline constexpr std::size_t kRdKeyCap = 512;
+
 /** Reaching-definition state at one program point. */
 struct RdState
 {
     bool reachable = false;
 
     /**
-     * Definition sites per location. A missing key means the wild
-     * definition alone (everything is wild at entry and after havoc).
+     * (location, definition site) pairs, ascending. A location with no
+     * pair has the wild definition alone (everything is wild at entry
+     * and after havoc).
      */
-    std::map<LocKey, std::set<Addr>> defs;
+    FlatSet<std::pair<LocKey, Addr>> defs;
 
-    /** Definitions reaching this point for @p key. */
-    std::set<Addr>
-    defsOf(LocKey key) const
-    {
-        const auto it = defs.find(key);
-        if (it == defs.end())
-            return {kWildDef};
-        return it->second;
-    }
+    /** Definitions reaching this point for @p key, ascending. */
+    std::vector<Addr> defsOf(LocKey key) const;
+
+    /**
+     * @p site becomes the only definition of @p key. A new location
+     * past kRdKeyCap degrades the state to all-wild.
+     */
+    void define(LocKey key, Addr site);
+
+    /** Drop every memory location: an unresolvable store may have hit
+     *  any word. */
+    void havocMem();
 
     bool operator==(const RdState&) const = default;
 };
+
+/**
+ * Join of two states: per location the union of both sides' sites,
+ * plus the wild site where only one side holds the location. Past
+ * kRdKeyCap locations the join is all-wild.
+ */
+RdState joinRd(const RdState& a, const RdState& b);
 
 /** Fixpoint result of one forward pass. When the step cap trips
  *  (converged == false), everything is wild and no chain is built. */

@@ -8,6 +8,7 @@
 #include "targets.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 
 namespace crisp::analysis
@@ -18,8 +19,9 @@ joinValueSet(const ValueSet& a, const ValueSet& b)
 {
     if (a.top || b.top)
         return ValueSet::topSet();
-    ValueSet r{false, a.vals};
-    r.vals.insert(b.vals.begin(), b.vals.end());
+    ValueSet r{false, {}};
+    std::set_union(a.vals.begin(), a.vals.end(), b.vals.begin(),
+                   b.vals.end(), std::back_inserter(r.vals));
     if (r.vals.size() > kValueSetCap)
         return ValueSet::topSet();
     return r;
@@ -181,8 +183,9 @@ addBodyWrites(bool lone_branch, const Instruction& b, const AbsState& in,
 struct VsState
 {
     AbsState base;
-    /** Exact finite sets for tracked words; absent means top. */
-    std::map<Addr, ValueSet> sets;
+    /** Exact finite sets for tracked words, ascending by address; an
+     *  absent word holds top. */
+    FlatMap<Addr, ValueSet> sets;
 
     static VsState
     anyState()
@@ -202,14 +205,13 @@ joinVs(const VsState& a, const VsState& b)
         return a;
     VsState j;
     j.base = joinState(a.base, b.base);
-    for (const auto& [addr, va] : a.sets) {
-        const auto it = b.sets.find(addr);
-        if (it == b.sets.end())
-            continue; // top on the other side
-        ValueSet u = joinValueSet(va, it->second);
-        if (!u.top)
-            j.sets.emplace(addr, std::move(u));
-    }
+    // A set absent on either side is top there: only common ones stay.
+    forCommonKeys(a.sets, b.sets,
+                  [&](Addr addr, const ValueSet& va, const ValueSet& vb) {
+                      ValueSet u = joinValueSet(va, vb);
+                      if (!u.top)
+                          j.sets.emplace_back(addr, std::move(u));
+                  });
     return j;
 }
 

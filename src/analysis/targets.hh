@@ -56,6 +56,7 @@
 #include "absint.hh"
 #include "callgraph.hh"
 #include "cfg.hh"
+#include "flat.hh"
 #include "sccp.hh"
 #include "sim/translate.hh"
 
@@ -72,7 +73,7 @@ inline constexpr std::size_t kValueSetMemCap = 64;
 struct ValueSet
 {
     bool top = true;
-    std::set<std::int32_t> vals;
+    FlatSet<std::int32_t> vals;
 
     static ValueSet topSet() { return {}; }
 
@@ -85,7 +86,7 @@ struct ValueSet
     bool
     contains(std::int32_t v) const
     {
-        return top || vals.count(v) != 0;
+        return top || vals.contains(v);
     }
 
     bool operator==(const ValueSet&) const = default;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <set>
 
@@ -54,6 +55,110 @@ findBody(const Cfg& cfg, Opcode op)
             return &n;
     }
     return nullptr;
+}
+
+// ----------------------------------------------------- flat containers
+
+TEST(Flat, SetAndMapAgreeWithStdReference)
+{
+    constexpr std::size_t kPool = 5;
+    constexpr int kKeys = 48;
+    std::mt19937 rng(5);
+    std::vector<FlatSet<int>> fs(kPool);
+    std::vector<std::set<int>> rs(kPool);
+    std::vector<FlatMap<Addr, int>> fm(kPool);
+    std::vector<std::map<Addr, int>> rm(kPool);
+    const auto key = [&] { return static_cast<int>(rng() % kKeys); };
+    for (int step = 0; step < 20'000; ++step) {
+        const std::size_t i = rng() % kPool;
+        const std::size_t x = rng() % kPool;
+        const std::size_t y = rng() % kPool;
+        const int k = key();
+        const std::string at = "step " + std::to_string(step);
+        switch (rng() % 8) {
+          case 0:
+          case 1:
+            ASSERT_EQ(fs[i].insert(k), rs[i].insert(k).second) << at;
+            fm[i][static_cast<Addr>(k)] = step;
+            rm[i][static_cast<Addr>(k)] = step;
+            break;
+          case 2:
+            ASSERT_EQ(fs[i].erase(k), rs[i].erase(k) != 0) << at;
+            fm[i].erase(static_cast<Addr>(k));
+            rm[i].erase(static_cast<Addr>(k));
+            break;
+          case 3: {
+            // Union by merge (the value-set join) and intersection by
+            // common keys (the fact-map joins).
+            FlatSet<int> u;
+            std::set_union(fs[x].begin(), fs[x].end(), fs[y].begin(),
+                           fs[y].end(), std::back_inserter(u));
+            fs[i] = u;
+            std::set<int> ru = rs[x];
+            ru.insert(rs[y].begin(), rs[y].end());
+            rs[i] = ru;
+            FlatMap<Addr, int> c;
+            forCommonKeys(fm[x], fm[y], [&](Addr a, int va, int vb) {
+                c.emplace_back(a, va - vb);
+            });
+            fm[i] = c;
+            std::map<Addr, int> rc;
+            for (const auto& [a, va] : rm[x]) {
+                const auto it = rm[y].find(a);
+                if (it != rm[y].end())
+                    rc.emplace(a, va - it->second);
+            }
+            rm[i] = rc;
+            break;
+          }
+          case 4:
+            // Drop everything from k up, as a havoc of memory does.
+            fs[i].erase(fs[i].lower_bound(k), fs[i].end());
+            rs[i].erase(rs[i].lower_bound(k), rs[i].end());
+            break;
+          case 5: {
+            const int k2 = key();
+            fs[i] = FlatSet<int>{k, k2, k};
+            rs[i] = std::set<int>{k, k2, k};
+            break;
+          }
+          case 6: {
+            const auto fit = fm[i].find(static_cast<Addr>(k));
+            const auto rit = rm[i].find(static_cast<Addr>(k));
+            ASSERT_EQ(fit == fm[i].end(), rit == rm[i].end()) << at;
+            if (fit != fm[i].end()) {
+                ASSERT_EQ(fit->second, rit->second) << at;
+                fit->second = -step;
+                rit->second = -step;
+            }
+            break;
+          }
+          default:
+            if (rng() % 8 == 0) {
+                fs[i].clear();
+                rs[i].clear();
+                fm[i].clear();
+                rm[i].clear();
+            }
+            break;
+        }
+        ASSERT_EQ(std::vector<int>(fs[i].begin(), fs[i].end()),
+                  std::vector<int>(rs[i].begin(), rs[i].end()))
+            << at;
+        ASSERT_EQ(fs[i].size(), rs[i].size()) << at;
+        for (int q = -1; q <= kKeys; ++q)
+            ASSERT_EQ(fs[i].contains(q), rs[i].count(q) != 0) << at;
+        ASSERT_EQ(fm[i].size(), rm[i].size()) << at;
+        ASSERT_TRUE(std::equal(fm[i].begin(), fm[i].end(), rm[i].begin(),
+                               rm[i].end(),
+                               [](const auto& f, const auto& r) {
+                                   return f.first == r.first &&
+                                          f.second == r.second;
+                               }))
+            << at;
+        ASSERT_EQ(fs[i] == fs[x], rs[i] == rs[x]) << at;
+        ASSERT_EQ(fm[i] == fm[x], rm[i] == rm[x]) << at;
+    }
 }
 
 // ------------------------------------------------------------ liveness
@@ -227,8 +332,10 @@ TEST(Liveness, FlatMemorySetAgreesWithSetReference)
             ref[i] = RefMemLive{};
         }
         ASSERT_EQ(flat[i].all, ref[i].all) << "step " << step;
-        ASSERT_EQ(flat[i].words, std::vector<Addr>(ref[i].words.begin(),
-                                                   ref[i].words.end()))
+        ASSERT_EQ(std::vector<Addr>(flat[i].words.begin(),
+                                    flat[i].words.end()),
+                  std::vector<Addr>(ref[i].words.begin(),
+                                    ref[i].words.end()))
             << "step " << step;
         for (Addr a = kBase - kWordBytes;
              a <= kBase + kWordBytes * kWords; a += kWordBytes) {
@@ -288,6 +395,169 @@ main:
     const auto copies = findRedundantCopies(cfg, rd, ai);
     EXPECT_FALSE(copies.empty())
         << "the second mov a, b rewrites a with its own value";
+}
+
+/** The std::map model of reaching definitions that RdState's flat
+ *  pairs must reproduce: define, havoc and join as they were written
+ *  over std::map<LocKey, std::set<Addr>>. @p caps counts the states
+ *  that crossed the location cap. */
+struct RefRd
+{
+    bool reachable = false;
+    std::map<LocKey, std::set<Addr>> defs;
+
+    void
+    define(LocKey k, Addr site, int& caps)
+    {
+        defs[k] = {site};
+        if (defs.size() > kRdKeyCap) {
+            defs.clear();
+            ++caps;
+        }
+    }
+
+    void
+    havocMem()
+    {
+        for (auto it = defs.begin(); it != defs.end();) {
+            if (it->first >= 0)
+                it = defs.erase(it);
+            else
+                ++it;
+        }
+    }
+
+    using Pairs = std::vector<std::pair<LocKey, Addr>>;
+
+    Pairs
+    pairs() const
+    {
+        Pairs v;
+        for (const auto& [k, sites] : defs) {
+            for (const Addr s : sites)
+                v.emplace_back(k, s);
+        }
+        return v;
+    }
+};
+
+RefRd
+refJoinRd(const RefRd& a, const RefRd& b, int& caps)
+{
+    if (!a.reachable)
+        return b;
+    if (!b.reachable)
+        return a;
+    RefRd j;
+    j.reachable = true;
+    j.defs = a.defs;
+    for (auto& [k, sites] : j.defs) {
+        const auto it = b.defs.find(k);
+        if (it == b.defs.end())
+            sites.insert(kWildDef); // missing on the other side: wild
+        else
+            sites.insert(it->second.begin(), it->second.end());
+    }
+    for (const auto& [k, sites] : b.defs) {
+        if (j.defs.count(k) != 0)
+            continue;
+        auto& js = j.defs[k];
+        js = sites;
+        js.insert(kWildDef);
+    }
+    if (j.defs.size() > kRdKeyCap) {
+        j.defs.clear();
+        ++caps;
+    }
+    return j;
+}
+
+TEST(ReachDefs, FlatStateAgreesWithMapReference)
+{
+    constexpr std::size_t kPool = 6;
+    constexpr Addr kBase = 0x1000;
+    constexpr Addr kWords = 640; // more memory words than the key cap
+    std::mt19937 rng(11);
+    std::vector<RdState> flat(kPool);
+    std::vector<RefRd> ref(kPool);
+    using Pairs = RefRd::Pairs;
+    for (std::size_t i = 0; i < kPool; ++i)
+        flat[i].reachable = ref[i].reachable = true;
+    const auto word = [&](Addr w) {
+        return static_cast<LocKey>(kBase + kWordBytes * (w % kWords));
+    };
+    const auto loc = [&]() -> LocKey {
+        const unsigned r = rng() % 10;
+        if (r == 0)
+            return kAccumLoc;
+        if (r == 1)
+            return kFlagLoc;
+        return word(rng());
+    };
+    const auto site = [&] {
+        return 0x100 + 2 * static_cast<Addr>(rng() % 8);
+    };
+    int caps = 0;
+    int joins = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        const std::size_t i = rng() % kPool;
+        const unsigned op = rng() % 40;
+        if (op < 14) {
+            const LocKey k = loc();
+            const Addr d = site();
+            flat[i].define(k, d);
+            ref[i].define(k, d, caps);
+        } else if (op < 19) {
+            // A run of stores over consecutive words, like a loop
+            // filling an array: the way states grow past the cap.
+            const Addr w0 = rng();
+            const Addr d = site();
+            for (Addr w = w0; w < w0 + 96; ++w) {
+                flat[i].define(word(w), d);
+                ref[i].define(word(w), d, caps);
+            }
+        } else if (op < 33) {
+            const std::size_t x = rng() % kPool;
+            const std::size_t y = rng() % kPool;
+            flat[i] = joinRd(flat[x], flat[y]);
+            ref[i] = refJoinRd(ref[x], ref[y], caps);
+            ++joins;
+        } else if (op < 36) {
+            flat[i].havocMem();
+            ref[i].havocMem();
+        } else if (op < 39) {
+            flat[i] = RdState{};
+            flat[i].reachable = true;
+            ref[i] = RefRd{true, {}};
+        } else {
+            flat[i] = RdState{};
+            ref[i] = RefRd{};
+        }
+        const std::string at = "step " + std::to_string(step);
+        ASSERT_EQ(flat[i].reachable, ref[i].reachable) << at;
+        ASSERT_EQ(Pairs(flat[i].defs.begin(), flat[i].defs.end()),
+                  ref[i].pairs())
+            << at;
+        for (const LocKey k : {kAccumLoc, kFlagLoc, loc()}) {
+            const auto it = ref[i].defs.find(k);
+            const std::vector<Addr> want =
+                it == ref[i].defs.end()
+                    ? std::vector<Addr>{kWildDef}
+                    : std::vector<Addr>(it->second.begin(),
+                                        it->second.end());
+            ASSERT_EQ(flat[i].defsOf(k), want) << at << " key " << k;
+        }
+        // Equality decides when the solver stops: it must agree too.
+        const std::size_t o = rng() % kPool;
+        ASSERT_EQ(flat[i] == flat[o],
+                  ref[i].reachable == ref[o].reachable &&
+                      ref[i].defs == ref[o].defs)
+            << at;
+    }
+    // Joins ran, and states crossed the 512-location cap both in a
+    // define and in a join.
+    EXPECT_GT(joins, 5'000);
+    EXPECT_GT(caps, 20);
 }
 
 // ---------------------------------------------------------------- sccp
