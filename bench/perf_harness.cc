@@ -27,10 +27,9 @@
  *  - dic_thrash: a loop whose body far exceeds the 32-entry DIC, so the
  *    PDU re-decodes the working set every iteration.
  *  - chain_dense: straight-line accumulator blocks stitched together by
- *    unconditional jumps — every block boundary is walkable, so the
- *    fast engine retires a whole replay as a handful of superblock
- *    traces. The engine's best case, replayed many times to exercise
- *    the O(dirty) warm reset.
+ *    unconditional jumps — no memory traffic and no conditional exits,
+ *    so the fast engine alternates one straight-line run with one jump
+ *    handler. Replayed many times to exercise the O(dirty) warm reset.
  *
  * Three times are reported per measurement: hotSeconds (run only — the
  * hot loop the PR optimizes), setupSeconds (machine construction, paid
@@ -45,7 +44,7 @@
  * a thread pool (--jobs) and is never timed. The measured runs are
  * strictly sequential so one run never steals cycles from another.
  *
- * Output: a single JSON object (schema "crisp-bench-perf/4", described
+ * Output: a single JSON object (schema "crisp-bench-perf/5", described
  * in docs/PERFORMANCE.md) written to --out (default BENCH_PERF.json)
  * and validated by re-parsing before exit. --smoke shrinks every
  * workload to fractions of a second and is wired into ctest.
@@ -67,7 +66,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -77,11 +75,13 @@
 #include <utility>
 #include <vector>
 
+#include "cli.hh"
 #include "common.hh"
 #include "sim/cpu.hh"
 #include "sim/fastengine.hh"
 #include "sim/predecode.hh"
 #include "sim/translate.hh"
+#include "util/json.hh"
 #include "util/thread_pool.hh"
 #include "verify/generator.hh"
 #include "workloads/workloads.hh"
@@ -91,6 +91,10 @@ namespace
 
 using namespace crisp;
 using Clock = std::chrono::steady_clock;
+
+/** Flag ranges: at most 256 preparation threads and 1000 repetitions. */
+constexpr int kMaxJobs = 256;
+constexpr int kMaxReps = 1000;
 
 double
 secondsSince(Clock::time_point t0)
@@ -137,8 +141,7 @@ runOnce(const std::vector<Unit>& units, int replays)
             // so machine setup is image zeroing alone. Prepared untimed
             // exactly like the shared PredecodeCache above.
             warm = std::make_unique<Translation>(
-                u.prog, u.cfg.foldPolicy, &shared,
-                u.cfg.enableChaining);
+                u.prog, u.cfg.foldPolicy, &shared);
         }
         std::optional<Machine> cpu;
         const auto t0 = Clock::now();
@@ -182,9 +185,8 @@ keepBest(Measure& best, const Measure& m, int rep)
  * Straight-line accumulator blocks chained by unconditional one-parcel
  * jumps: @p blocks blocks of @p ops_per_block accumulator adds, each
  * ending in a jmp to the block that follows it. No memory traffic, no
- * conditional exits — every block boundary is walkable, so with
- * chaining on the whole program retires as a few kTraceCap-bounded
- * superblock traces. The fast engine's best case by construction.
+ * conditional exits: the fast engine retires each block as one
+ * straight-line run and each jump in its own handler.
  */
 Program
 chainDenseProgram(int blocks, int ops_per_block)
@@ -198,8 +200,7 @@ chainDenseProgram(int blocks, int ops_per_block)
                                       Operand::imm(v)));
         }
         // Jump to the immediately following block: architecturally a
-        // no-op, but a real unconditional control transfer the trace
-        // walker must chain across.
+        // no-op, but a real unconditional control transfer.
         p.append(Instruction::branchRel(Opcode::kJmp, 2));
     }
     p.append(Instruction::halt());
@@ -264,175 +265,18 @@ committedRatio(const std::string& json, const std::string& workload,
         throw CrispError(
             "bench_perf: baseline has no " + ratio_key +
             " for \"" + workload +
-            "\" (schema crisp-bench-perf/4 required; regenerate "
+            "\" (schema crisp-bench-perf/5 required; regenerate "
             "BENCH_PERF.json with bench_perf --out)");
     }
     return std::strtod(json.c_str() + k + key.size(), nullptr);
 }
-
-// ------------------------------------------------------- JSON checking
-
-/**
- * Minimal recursive-descent JSON well-formedness check, so the harness
- * can validate its own output without external dependencies.
- */
-class JsonChecker
-{
-  public:
-    explicit JsonChecker(const std::string& text) : s_(text) {}
-
-    bool
-    valid()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return pos_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
-        if (c == '"')
-            return string();
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return number();
-        return literal("true") || literal("false") || literal("null");
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // {
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // [
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        if (peek() != '"')
-            return false;
-        ++pos_;
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\')
-                ++pos_;
-            ++pos_;
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool
-    number()
-    {
-        const char* start = s_.c_str() + pos_;
-        char* end = nullptr;
-        std::strtod(start, &end);
-        if (end == start)
-            return false;
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool
-    literal(const char* word)
-    {
-        const std::size_t n = std::strlen(word);
-        if (s_.compare(pos_, n, word) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                s_[pos_] == '\t' || s_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    const std::string& s_;
-    std::size_t pos_ = 0;
-};
 
 int
 usage()
 {
     std::fprintf(stderr,
                  "usage: bench_perf [--smoke] [--out=FILE] [--jobs=N] "
-                 "[--reps=N] [--check-floor=FILE] [--no-chain]\n");
+                 "[--reps=N] [--check-floor=FILE]\n");
     return 2;
 }
 
@@ -447,17 +291,11 @@ main(int argc, char** argv)
     std::string floor_path;
     int jobs = util::ThreadPool::defaultThreads();
     int reps = 0; // 0: pick by mode
-    // Ablation knob: run the fast engine without cross-branch trace
-    // chaining (single-block superblocks), for chained-vs-unchained
-    // comparisons in EXPERIMENTS.md. The cycle-simulator measures are
-    // unaffected (chaining is a translation-level concept).
-    bool no_chain = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
+        const auto val = [&](const char* key) {
+            return cli::flag(a, key);
         };
         if (a == "--smoke") {
             smoke = true;
@@ -472,18 +310,16 @@ main(int argc, char** argv)
         } else if (a == "--check-floor" && i + 1 < argc) {
             floor_path = argv[++i];
         } else if (const char* v2 = val("--jobs=")) {
-            jobs = std::atoi(v2);
+            if (!cli::parseInt(v2, jobs, 1, kMaxJobs))
+                return usage();
         } else if (const char* v3 = val("--reps=")) {
-            reps = std::atoi(v3);
-        } else if (a == "--no-chain") {
-            no_chain = true;
+            if (!cli::parseInt(v3, reps, 1, kMaxReps))
+                return usage();
         } else {
             return usage();
         }
     }
-    if (jobs < 1)
-        return usage();
-    if (reps <= 0)
+    if (reps == 0)
         reps = smoke ? 1 : 3;
 
     // Replay counts are sized so every measured window is at least
@@ -539,13 +375,6 @@ main(int argc, char** argv)
         chain[0].prog = chainDenseProgram(chain_blocks, chain_ops);
         chain[0].cfg = SimConfig{};
 
-        if (no_chain) {
-            for (auto* units :
-                 {&torture, &torture_checked, &table4, &thrash, &chain})
-                for (Unit& u : *units)
-                    u.cfg.enableChaining = false;
-        }
-
         struct Row
         {
             const char* name;
@@ -562,9 +391,8 @@ main(int argc, char** argv)
         };
 
         std::ostringstream os;
-        os << "{\"schema\":\"crisp-bench-perf/4\""
+        os << "{\"schema\":\"crisp-bench-perf/5\""
            << ",\"mode\":\"" << (smoke ? "smoke" : "full") << "\""
-           << ",\"chaining\":" << (no_chain ? "false" : "true")
            << ",\"jobs\":" << jobs << ",\"reps\":" << reps
            << ",\"workloads\":[";
         bool first = true;
@@ -677,7 +505,7 @@ main(int argc, char** argv)
         }
 
         const std::string json = os.str();
-        if (!JsonChecker(json).valid())
+        if (!util::jsonValid(json))
             throw CrispError(
                 "bench_perf: generated JSON failed validation");
         std::ofstream out(out_path);

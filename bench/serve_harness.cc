@@ -30,8 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -39,6 +37,7 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "cli.hh"
 #include "isa/objfile.hh"
 #include "service/service.hh"
 
@@ -48,6 +47,11 @@ namespace
 using namespace crisp;
 using namespace crisp::service;
 using Clock = std::chrono::steady_clock;
+
+/** Flag ranges: at most 256 client or worker threads, and at most
+ *  100000 jobs per client. */
+constexpr int kMaxThreads = 256;
+constexpr int kMaxJobsPerClient = 100'000;
 
 std::vector<std::uint8_t>
 countedImage(int count)
@@ -190,23 +194,25 @@ main(int argc, char** argv)
     int jobs = 64;
     int workers = 4;
 
+    // Every value is checked here, before any client or worker thread
+    // starts: a bad one is a usage error, never an empty sweep.
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto val = [&](const char* key) -> const char* {
-            const std::size_t n = std::strlen(key);
-            return a.compare(0, n, key) == 0 ? a.c_str() + n : nullptr;
-        };
+        bool ok = true;
         if (a == "--smoke") {
             smoke = true;
-        } else if (const char* v = val("--out=")) {
+        } else if (const char* v = cli::flag(a, "--out=")) {
             out_path = v;
-        } else if (const char* v2 = val("--clients=")) {
-            clients = std::atoi(v2);
-        } else if (const char* v3 = val("--jobs=")) {
-            jobs = std::atoi(v3);
-        } else if (const char* v4 = val("--workers=")) {
-            workers = std::atoi(v4);
+        } else if (const char* v2 = cli::flag(a, "--clients=")) {
+            ok = cli::parseInt(v2, clients, 1, kMaxThreads);
+        } else if (const char* v3 = cli::flag(a, "--jobs=")) {
+            ok = cli::parseInt(v3, jobs, 1, kMaxJobsPerClient);
+        } else if (const char* v4 = cli::flag(a, "--workers=")) {
+            ok = cli::parseInt(v4, workers, 1, kMaxThreads);
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: bench_serve [--smoke] [--out=FILE] "
                          "[--clients=N] [--jobs=N] [--workers=N]\n");

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "session.hh"
+#include "util/json.hh"
 
 namespace crisp::analysis
 {
@@ -401,23 +402,6 @@ sortForReport(std::vector<Diagnostic>& diags)
                      });
 }
 
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 std::vector<Diagnostic>
@@ -587,7 +571,7 @@ AnalysisResult::toJson() const
                    ? "folded"
                    : s.cls == FoldClass::kLone ? "lone" : "mixed")
            << "\",\"noFoldReason\":\""
-           << jsonEscape(std::string(noFoldReasonName(s.reason)))
+           << util::jsonEscape(std::string(noFoldReasonName(s.reason)))
            << "\",\"guaranteedResolved\":"
            << (s.guaranteedResolved ? "true" : "false") << "}";
     }
@@ -646,9 +630,9 @@ AnalysisResult::toJson() const
         first = false;
         os << "{\"severity\":\"" << severityName(d.severity)
            << "\",\"pc\":" << d.pc << ",\"rule\":\""
-           << jsonEscape(d.rule) << "\",\"message\":\""
-           << jsonEscape(d.message) << "\",\"hint\":\""
-           << jsonEscape(d.hint) << "\"}";
+           << util::jsonEscape(d.rule) << "\",\"message\":\""
+           << util::jsonEscape(d.message) << "\",\"hint\":\""
+           << util::jsonEscape(d.hint) << "\"}";
     }
     os << "]}";
     return os.str();
@@ -808,11 +792,11 @@ AnalysisResult::toSarif(const std::string& artifactUri) const
     for (std::size_t i = 0; i < rules.size(); ++i) {
         if (i != 0)
             os << ",";
-        os << "{\"id\":\"" << jsonEscape(rules[i]) << "\"}";
+        os << "{\"id\":\"" << util::jsonEscape(rules[i]) << "\"}";
     }
     os << "]}}";
     os << ",\"artifacts\":[{\"location\":{\"uri\":\""
-       << jsonEscape(artifactUri) << "\"}}]";
+       << util::jsonEscape(artifactUri) << "\"}}]";
     os << ",\"results\":[";
     bool first = true;
     for (const Diagnostic& d : diags) {
@@ -822,13 +806,14 @@ AnalysisResult::toSarif(const std::string& artifactUri) const
         std::string text = d.message;
         if (!d.hint.empty())
             text += " (hint: " + d.hint + ")";
-        os << "{\"ruleId\":\"" << jsonEscape(d.rule) << "\""
+        os << "{\"ruleId\":\"" << util::jsonEscape(d.rule) << "\""
            << ",\"ruleIndex\":" << ruleIndex(d.rule) << ",\"level\":\""
            << level(d.severity) << "\""
-           << ",\"message\":{\"text\":\"" << jsonEscape(text) << "\"}"
+           << ",\"message\":{\"text\":\"" << util::jsonEscape(text)
+           << "\"}"
            << ",\"locations\":[{\"physicalLocation\":{"
            << "\"artifactLocation\":{\"uri\":\""
-           << jsonEscape(artifactUri) << "\",\"index\":0}"
+           << util::jsonEscape(artifactUri) << "\",\"index\":0}"
            << ",\"region\":{\"byteOffset\":" << d.pc
            << ",\"byteLength\":" << kParcelBytes << "}}}]}";
     }

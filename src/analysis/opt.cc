@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "session.hh"
+#include "util/json.hh"
 
 namespace crisp::analysis
 {
@@ -408,28 +409,6 @@ optimize(const cc::CompileResult& base, const cc::CompileOptions& copts,
     return r;
 }
 
-namespace
-{
-
-std::string
-jsonQuote(const std::string& s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
 std::string
 OptReport::toJson() const
 {
@@ -468,9 +447,10 @@ OptReport::toJson() const
     for (std::size_t i = 0; i < tv.problems.size(); ++i) {
         if (i != 0)
             os << ",";
-        os << jsonQuote(tv.problems[i]);
+        os << "\"" << util::jsonEscape(tv.problems[i]) << "\"";
     }
-    os << "],\"counterexample\":" << jsonQuote(tv.counterexample);
+    os << "],\"counterexample\":\"" << util::jsonEscape(tv.counterexample)
+       << "\"";
     os << "}}";
     return os.str();
 }

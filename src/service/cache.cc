@@ -86,8 +86,7 @@ ProgramRegistry::sharedTranslation(const std::shared_ptr<Entry>& entry,
         // workers share it without further locking. References
         // entry->prog, which never moves behind its shared_ptr.
         entry->translation[p] = std::make_unique<Translation>(
-            entry->prog, policy, entry->predecode.get(),
-            /*enable_chaining=*/true);
+            entry->prog, policy, entry->predecode.get());
     }
     return entry->translation[p].get();
 }

@@ -77,10 +77,9 @@ class ProgramRegistry
         bool warmed[3] = {false, false, false};
         bool warmFailed[3] = {false, false, false};
         /** Warm threaded-code translations over prog, one per fold
-         *  policy (chaining on — the service default). Built once
-         *  under the registry lock, read-only thereafter: the
-         *  million-th fast-engine request for a hot program pays zero
-         *  translate cost. */
+         *  policy. Built once under the registry lock, read-only
+         *  thereafter: the million-th fast-engine request for a hot
+         *  program pays zero translate cost. */
         std::unique_ptr<Translation> translation[3];
     };
 
@@ -103,9 +102,9 @@ class ProgramRegistry
                                  FoldPolicy policy);
 
     /**
-     * The warm shared Translation for @p policy (chaining on),
-     * building it now over the warmed predecode tables if this is the
-     * first fast-engine request. @return nullptr when the program is
+     * The warm shared Translation for @p policy, building it now
+     * over the warmed predecode tables if this is the first
+     * fast-engine request. @return nullptr when the program is
      * unshareable under that policy — FastEngine then builds its
      * private translation, exactly as before.
      */

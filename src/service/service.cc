@@ -276,10 +276,8 @@ SimService::runJob(Job& job)
                 Word accum = 0;
                 if (job.key.engine == EngineKind::kFast) {
                     const Translation* warm =
-                        job.simCfg.enableChaining
-                            ? registry_.sharedTranslation(
-                                  job.program, job.simCfg.foldPolicy)
-                            : nullptr;
+                        registry_.sharedTranslation(
+                            job.program, job.simCfg.foldPolicy);
                     if (warm != nullptr) {
                         std::lock_guard<std::mutex> lk(mu_);
                         ++ledger_.translationShares;

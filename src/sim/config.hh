@@ -100,18 +100,6 @@ struct SimConfig
     std::uint64_t maxCycles = 2'000'000'000ULL;
 
     /**
-     * FastEngine only: let the translator merge handler chains across
-     * statically-resolved unconditionally-taken branches (jumps —
-     * including folded always-taken ones — and direct calls), so a
-     * whole trace of basic blocks retires as one superblock with a
-     * single cancel/budget poll. Architecturally invisible — results
-     * are bit-identical either way (`crisptorture --engine-diff
-     * --no-chain` proves it on every seed); off is the escape hatch
-     * that restores one-basic-block superblocks.
-     */
-    bool enableChaining = true;
-
-    /**
      * Retire-time decode checker: before an entry retires, re-derive the
      * golden decode of the program text at its PC and verify the cached
      * Next-PC / Alternate-PC / body / modifies-CC metadata against it.

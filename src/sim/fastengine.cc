@@ -11,12 +11,11 @@
  * both.
  *
  * The workhorse is the trace walker at `trace_entry`: it retires a
- * statically-determined run of entries — sequential ops and, with
- * chaining, unconditionally-taken static jumps/calls — in one
+ * straight-line run of sequential ops (at most kTraceCap) in one
  * activation with a single cancel/budget poll, then hands the
  * terminating control op to its own handler. Every handler exit goes
  * through CRISP_NEXT(), which jumps straight back into the walker when
- * the successor starts a trace (the "chain pointer": a hot loop
+ * the successor starts a run (the "chain pointer": a hot loop
  * back-edge never re-enters the dispatcher). Indirect exits resolve
  * their target through a per-entry monomorphic inline cache before
  * falling back to the full address-to-index lookup.
@@ -27,7 +26,7 @@
  * before the taken decision and before a call's push; fetch faults are
  * raised before counting. The three-way differential in
  * `crisptorture --engine-diff` holds this loop to that contract on
- * every seed, with chaining both on and off.
+ * every seed.
  */
 
 #include "fastengine.hh"
@@ -166,11 +165,10 @@ FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
     : cfg_(cfg)
 {
     if (shared_translation != nullptr) {
-        if (shared_translation->policy() != cfg.foldPolicy ||
-            shared_translation->chaining() != cfg.enableChaining) {
+        if (shared_translation->policy() != cfg.foldPolicy) {
             throw CrispError(
                 "fastengine: shared translation was built under a "
-                "different fold policy or chaining mode");
+                "different fold policy");
         }
         // Warm path: borrow the translation's program (its text is the
         // one the translation provably describes) — no copy, no
@@ -181,8 +179,7 @@ FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
         ownedProg_.emplace(prog);
         prog_ = &*ownedProg_;
         ownedTrans_ = std::make_unique<Translation>(
-            *prog_, cfg.foldPolicy, shared_predecode,
-            cfg.enableChaining, hints);
+            *prog_, cfg.foldPolicy, shared_predecode, hints);
         trans_ = ownedTrans_.get();
     }
     mem_.load(*prog_);
@@ -278,7 +275,7 @@ FastEngine::run(ExecObserver* observer)
 #endif
 
 /** Continue at *op: straight into the trace walker when the successor
- *  starts a trace (hot back-edges skip the dispatcher), else through
+ *  starts a run (hot back-edges skip the dispatcher), else through
  *  the handler table. */
 #define CRISP_NEXT()          \
     do {                      \
@@ -305,9 +302,9 @@ FastEngine::runLoop(ExecObserver* observer)
     std::uint64_t* const counts = stats_.opcodeCounts.data();
 
     // Fuel: instructions until the next cancel/budget poll. Polls
-    // happen only on trace boundaries, so a trace may finish past the
-    // exact budget; the poll interval plus kTraceCap bound the
-    // overshoot.
+    // happen only on run and handler boundaries, so a run may finish
+    // past the exact budget; the poll interval plus kTraceCap bound
+    // the overshoot.
     std::int64_t fuel = static_cast<std::int64_t>(
         std::min<std::uint64_t>(cfg_.maxCycles, kCancelCheckInterval));
     // 0 = keep going, 1 = cancelled, 2 = instruction budget exhausted.
@@ -380,111 +377,32 @@ FastEngine::runLoop(ExecObserver* observer)
         switch (op->kind) {
 #endif
 
-        // Trace superblock: retire the whole statically-determined
-        // run — sequential ops plus (with chaining) unconditionally-
-        // taken static jumps/calls — in one activation, then hand the
-        // terminating control op to its own handler. Every kChain op
-        // heads a trace, so this handler *is* the walker.
+        // Straight-line run: retire up to kTraceCap sequential ops in
+        // one activation, then hand the terminating control op to its
+        // own handler. Every kChain op heads a run, so this handler
+        // *is* the walker.
         CRISP_HANDLER(kChain)
       trace_entry:
         {
-            fuel -= op->traceInstr;
+            fuel -= op->trace;
             if (fuel <= 0) [[unlikely]] {
                 if ((stop = poll()) != 0)
                     goto stopped;
             }
-            std::uint32_t n = op->trace;
-            for (;;) {
-                if (op->kind == TKind::kChain) {
-                    ++apparent;
-                    ++issued;
-                    ++counts[static_cast<std::size_t>(op->bodyOp)];
-                    if constexpr (Observed)
-                        observer->onInstruction(op->pc, op->bodyOp);
-                    execBody(*op, mem, sp, accum, flag);
-                    ip = op->seqIdx;
-                } else if (op->dynTarget) {
-                    // Predicted indirect exit (kJmp or kCall with a
-                    // singleton hint / self-predicted table word):
-                    // full handler bookkeeping inline, in the
-                    // interpreter's order, then a runtime guard on the
-                    // predicted target. A misprediction simply ends
-                    // the trace early through the generic resolver —
-                    // the prediction is never trusted architecturally.
-                    ++issued;
-                    if (op->folded) {
-                        ++apparent;
-                        ++counts[static_cast<std::size_t>(op->bodyOp)];
-                        if constexpr (Observed)
-                            observer->onInstruction(op->pc, op->bodyOp);
-                        execBody(*op, mem, sp, accum, flag);
-                    }
-                    ++apparent;
-                    ++counts[static_cast<std::size_t>(op->branchOp)];
-                    if constexpr (Observed)
-                        observer->onInstruction(op->branchPc,
-                                                op->branchOp);
-                    const Addr itarget =
-                        mem.read32(op->bmode == BranchMode::kIndSp
-                                       ? sp + op->dynSpec
-                                       : op->dynSpec);
-                    if (op->kind == TKind::kCall) {
-                        // Push after the target read (a faulting read
-                        // must leave SP untouched).
-                        sp -= kWordBytes;
-                        mem.write32(sp, op->callRetPc);
-                    }
-                    ++stats_.branches;
-                    if (op->folded)
-                        ++stats_.foldedBranches;
-                    if constexpr (Observed)
-                        emitBranch(op, true, itarget);
-                    if (itarget == op->predTarget) [[likely]] {
-                        ip = op->predIdx;
-                    } else {
-                        ip = resolve(op, itarget);
-                        if (ip == kNoIdx) [[unlikely]] {
-                            npc = itarget;
-                            goto bad_fetch;
-                        }
-                        op = &ops[ip];
-                        CRISP_NEXT();
-                    }
-                } else {
-                    // Static kJmp (possibly folded) or kCall, known
-                    // taken: same bookkeeping order as the standalone
-                    // handlers below.
-                    ++issued;
-                    if (op->folded) {
-                        ++apparent;
-                        ++counts[static_cast<std::size_t>(op->bodyOp)];
-                        if constexpr (Observed)
-                            observer->onInstruction(op->pc, op->bodyOp);
-                        execBody(*op, mem, sp, accum, flag);
-                    }
-                    ++apparent;
-                    ++counts[static_cast<std::size_t>(op->branchOp)];
-                    if constexpr (Observed)
-                        observer->onInstruction(op->branchPc,
-                                                op->branchOp);
-                    if (op->kind == TKind::kCall) {
-                        sp -= kWordBytes;
-                        mem.write32(sp, op->callRetPc);
-                    }
-                    ++stats_.branches;
-                    if (op->folded)
-                        ++stats_.foldedBranches;
-                    if constexpr (Observed)
-                        emitBranch(op, true, op->takenPc);
-                    ip = op->takenIdx;
-                }
+            for (std::uint32_t n = op->trace;;) {
+                ++apparent;
+                ++issued;
+                ++counts[static_cast<std::size_t>(op->bodyOp)];
+                if constexpr (Observed)
+                    observer->onInstruction(op->pc, op->bodyOp);
+                execBody(*op, mem, sp, accum, flag);
+                ip = op->seqIdx;
                 if (--n == 0)
                     break;
                 op = &ops[ip];
             }
             if (ip == kNoIdx) [[unlikely]] {
-                npc = op->kind == TKind::kChain ? op->seqPc
-                                                : op->takenPc;
+                npc = op->seqPc;
                 goto bad_fetch;
             }
             op = &ops[ip];
@@ -493,8 +411,6 @@ FastEngine::runLoop(ExecObserver* observer)
 
         CRISP_HANDLER(kJmp)
         {
-            // Reached only for indirect jumps, or with chaining off
-            // (static jumps are trace heads then trace members).
             fuel -= 1 + op->folded;
             if (fuel <= 0) [[unlikely]] {
                 if ((stop = poll()) != 0)
@@ -593,8 +509,7 @@ FastEngine::runLoop(ExecObserver* observer)
 
         CRISP_HANDLER(kCall)
         {
-            // Reached only for indirect calls, or with chaining off
-            // (calls are three-parcel and therefore never folded).
+            // Calls are three-parcel and therefore never folded.
             --fuel;
             if (fuel <= 0) [[unlikely]] {
                 if ((stop = poll()) != 0)

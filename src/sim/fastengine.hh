@@ -9,13 +9,11 @@
  * predecoded DIC line into a threaded-code op (translate.hh) and
  * dispatches with computed goto on GCC/Clang (a switch-threaded
  * fallback is selected by defining CRISP_NO_COMPUTED_GOTO), executing
- * each statically-determined trace as a superblock: one handler
- * activation retires a run of basic blocks — straight-line code plus,
- * with SimConfig::enableChaining, any unconditionally-taken static
- * branches between them — under a single cancel/budget poll, and the
- * terminating branch transfers through the translation's pre-resolved
- * Next-PC / Alternate-Next-PC indices, so hot loops never leave
- * translated code. Indirect exits (returns, indirect jumps/calls)
+ * each straight-line run as a superblock: one handler activation
+ * retires up to kTraceCap sequential ops under a single cancel/budget
+ * poll, and the terminating branch transfers through the translation's
+ * pre-resolved Next-PC / Alternate-Next-PC indices, so hot loops never
+ * leave translated code. Indirect exits (returns, indirect jumps/calls)
  * carry a monomorphic inline cache: the last target address and its
  * table index, so a stable callee re-enters its trace without an
  * address-to-index lookup.
@@ -24,13 +22,13 @@
  *  - architectural-state equivalence with the reference interpreter,
  *    including fault points and messages (enforced by the lockstep
  *    differential in src/verify/enginediff.hh and by
- *    `crisptorture --engine-diff`, with chaining both on and off);
- *  - the cooperative cancel flag is polled on trace boundaries (same
+ *    `crisptorture --engine-diff`);
+ *  - the cooperative cancel flag is polled on run boundaries (same
  *    kCancelCheckInterval cadence as CrispCpu, overshooting by at most
- *    one trace — bounded by kTraceCap);
+ *    one run — bounded by kTraceCap);
  *  - SimConfig::maxCycles bounds the run — a functional engine has no
  *    cycles, so the limit is applied to apparent (architectural)
- *    instructions, checked at trace boundaries;
+ *    instructions, checked at run boundaries;
  *  - MemoryImage dirty-line tracking powers reset(): if the program
  *    image's text window was dirtied, the revert also invalidates the
  *    translation (and every inline cache) so it can never describe
@@ -79,16 +77,15 @@ class FastEngine
      *
      * @p shared_translation goes one step further: an externally-owned
      * read-only Translation of the same program under the same fold
-     * policy and chaining mode (it is rejected otherwise). The engine
+     * policy (it is rejected otherwise). The engine
      * then borrows the translation's Program — @p prog is only used to
      * seed the memory image — and construction does no decode or
      * translate work at all. The translation must outlive the engine.
      *
      * @p hints optionally carries proven indirect-target sets from the
-     * value-set analysis (see IndirectHints): singletons let traces
-     * chain through indirect exits under a runtime guard, bounded sets
-     * pre-seed the inline caches. Ignored when a shared translation is
-     * passed (the shared table already embeds its own hints).
+     * value-set analysis (see IndirectHints); they pre-seed the inline
+     * caches. Ignored when a shared translation is passed (the shared
+     * table already embeds its own hints).
      */
     explicit FastEngine(const Program& prog, const SimConfig& cfg = {},
                         PredecodeCache* shared_predecode = nullptr,
@@ -120,7 +117,7 @@ class FastEngine
     void reset();
 
     /** Cooperative cancellation flag (not owned; null clears). Polled
-     *  every few thousand instructions at trace boundaries; the run
+     *  every few thousand instructions at run boundaries; the run
      *  stops with SimStats::cancelled set and can be resumed by
      *  calling run() again. */
     void

@@ -5,8 +5,9 @@
 
 #include "stats.hh"
 
-#include <iomanip>
 #include <sstream>
+
+#include "util/json.hh"
 
 namespace crisp
 {
@@ -52,47 +53,6 @@ SimStats::toString() const
     return os.str();
 }
 
-namespace
-{
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string& s)
-{
-    std::ostringstream os;
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c)
-                   << std::dec << std::setfill(' ');
-            } else {
-                os << c;
-            }
-            break;
-        }
-    }
-    return os.str();
-}
-
-} // namespace
-
 std::string
 SimStats::toJson() const
 {
@@ -129,7 +89,8 @@ SimStats::toJson() const
     os << ",\"cancelled\":" << (cancelled ? "true" : "false");
     os << ",\"faulted\":" << (faulted ? "true" : "false");
     os << ",\"faultPc\":" << faultPc;
-    os << ",\"faultReason\":\"" << jsonEscape(faultReason) << "\"";
+    os << ",\"faultReason\":\"" << util::jsonEscape(faultReason)
+       << "\"";
     os << ",\"dicCorruption\":" << (dicCorruption ? "true" : "false");
     os << ",\"opcodeCounts\":[";
     for (std::size_t i = 0; i < opcodeCounts.size(); ++i) {

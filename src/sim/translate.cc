@@ -5,6 +5,8 @@
 
 #include "translate.hh"
 
+#include <algorithm>
+
 namespace crisp
 {
 
@@ -71,10 +73,9 @@ fillBody(TOp& t, const Instruction& inst)
 
 Translation::Translation(const Program& prog, FoldPolicy policy,
                          PredecodeCache* predecode,
-                         bool enable_chaining,
                          const IndirectHints* hints)
-    : prog_(prog), policy_(policy), chaining_(enable_chaining),
-      textBase_(prog.textBase), textEnd_(prog.textEnd())
+    : prog_(prog), policy_(policy), textBase_(prog.textBase),
+      textEnd_(prog.textEnd())
 {
     if (hints != nullptr)
         hints_ = *hints;
@@ -105,7 +106,6 @@ Translation::build()
     }
     predictIndirects();
     linkSuccessors();
-    computeTraces();
     ++epoch_;
 }
 
@@ -260,24 +260,20 @@ void
 Translation::predictIndirects()
 {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
-        TOp& t = ops_[i];
+        const TOp& t = ops_[i];
         if (!t.dynTarget)
             continue;
         // Likely target: a hinted proven set's first element wins;
         // otherwise a constant-address specifier (kIndAbs) predicts
-        // the load-image word it points at. Either way the value is
-        // only ever a prediction — the engine compares it against the
-        // word it actually reads.
+        // the load-image word it points at. Either way the value only
+        // seeds the inline cache, which the engine compares against
+        // the word it actually reads.
         Addr likely = 0;
         bool have = false;
-        bool extend = false;
         const auto h = hints_.targets.find(t.branchPc);
         if (h != hints_.targets.end() && !h->second.empty()) {
             likely = h->second.front();
             have = true;
-            // Only a proven singleton earns trace extension; larger
-            // bounded sets would mispredict too often to walk through.
-            extend = h->second.size() == 1;
         } else if (t.bmode == BranchMode::kIndAbs) {
             const Addr a = t.dynSpec;
             if (a >= prog_.dataBase &&
@@ -291,20 +287,11 @@ Translation::predictIndirects()
                     (static_cast<Addr>(prog_.data[off + 2]) << 16) |
                     (static_cast<Addr>(prog_.data[off + 3]) << 24);
                 have = true;
-                extend = true;
             }
         }
-        if (!have)
-            continue;
-        const std::uint32_t li = indexOf(likely);
-        if (li == kNoIdx)
-            continue; // predicting a fetch fault helps nothing
-        icSeeds_.emplace_back(static_cast<std::uint32_t>(i), likely);
-        if (extend &&
-            (t.kind == TKind::kJmp || t.kind == TKind::kCall)) {
-            t.predTarget = likely;
-            t.predIdx = li;
-        }
+        // Predicting a fetch fault helps nothing.
+        if (have && indexOf(likely) != kNoIdx)
+            icSeeds_.emplace_back(static_cast<std::uint32_t>(i), likely);
     }
 }
 
@@ -319,71 +306,17 @@ Translation::linkSuccessors()
             t.takenIdx = indexOf(t.takenPc);
         }
     }
-    // Superblock lengths, computed backward: a sequential op's
-    // successor index is strictly greater than its own (seqPc > pc), so
-    // every chain value on the right is already final.
+    // Run lengths, computed backward: a sequential op's successor
+    // index is strictly greater than its own (seqPc > pc), so every
+    // value on the right is already final. Capping each step caps the
+    // whole run, since min(cap, 1 + min(cap, n)) == min(cap, 1 + n).
     for (std::size_t i = ops_.size(); i-- > 0;) {
         TOp& t = ops_[i];
         if (t.kind != TKind::kChain)
             continue;
-        t.chain = 1;
-        if (t.seqIdx != kNoIdx &&
-            ops_[t.seqIdx].kind == TKind::kChain) {
-            t.chain += ops_[t.seqIdx].chain;
-        }
-    }
-}
-
-void
-Translation::computeTraces()
-{
-    // An op the trace walker may execute inline: control past it is
-    // statically known. Conditional branches, returns, indirect
-    // targets, halts and traps all terminate a trace (the walker
-    // dispatches them to their own handler).
-    const auto walkable = [&](const TOp& t) {
-        switch (t.kind) {
-          case TKind::kChain:
-            return true;
-          case TKind::kJmp:
-          case TKind::kCall:
-            // An indirect exit is walkable when it carries a
-            // predicted target: the walker executes it inline under a
-            // runtime guard and leaves the trace on a misprediction.
-            return chaining_ &&
-                   (!t.dynTarget || t.predIdx != kNoIdx);
-          default:
-            return false;
-        }
-    };
-    for (TOp& t : ops_) {
-        t.trace = 0;
-        t.traceInstr = 0;
-        if (!walkable(t))
-            continue;
-        // Forward walk, capped: any prefix of walkable ops whose
-        // intra-trace successors stay in the table is a valid trace,
-        // so cutting at kTraceCap (or at a static jump cycle, which
-        // the cap also bounds) is always sound — the walker simply
-        // re-enters at the next head, where the next poll lives.
-        const TOp* cur = &t;
-        std::uint32_t n = 0;
-        std::uint32_t instr = 0;
-        for (;;) {
-            ++n;
-            instr += cur->folded ? 2u : 1u;
-            if (n >= kTraceCap)
-                break;
-            const std::uint32_t s =
-                cur->kind == TKind::kChain ? cur->seqIdx
-                : cur->dynTarget           ? cur->predIdx
-                                           : cur->takenIdx;
-            if (s == kNoIdx || !walkable(ops_[s]))
-                break;
-            cur = &ops_[s];
-        }
-        t.trace = n;
-        t.traceInstr = instr;
+        t.trace = 1;
+        if (t.seqIdx != kNoIdx && ops_[t.seqIdx].kind == TKind::kChain)
+            t.trace = std::min(kTraceCap, 1 + ops_[t.seqIdx].trace);
     }
 }
 

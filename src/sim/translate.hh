@@ -18,9 +18,9 @@
  *    recomputes `value * 4` per access; here it is folded into the
  *    table) — all in wrapping uint32 arithmetic, matching the
  *    interpreter's address math bit for bit;
- *  - superblock links: every maximal run of sequential (non-control)
- *    ops is measured at translation time so the fast engine can retire
- *    the whole straight-line region in a single handler activation.
+ *  - superblock links: every run of sequential (non-control) ops is
+ *    measured at translation time so the fast engine can retire the
+ *    straight-line region in a single handler activation.
  *
  * Translation is semantics-preserving lowering only: every fault the
  * interpreter would raise (truncated instruction, unaligned or
@@ -52,12 +52,10 @@ inline constexpr std::uint32_t kNoIdx = 0xffffffffu;
  * Optional per-branch indirect-target hints, keyed by the *branch
  * instruction's* address (TOp::branchPc). Produced by the
  * interprocedural value-set analysis (analysis/targets.hh) from proven
- * finite target sets; the translator treats them as predictions only —
- * every use is guarded by a runtime compare against the actually-read
- * target word, so a stale or wrong hint costs speed, never
- * correctness. A single-element vector additionally lets the trace
- * walker chain straight through the indirect exit; the first element
- * of a larger set seeds the monomorphic inline cache.
+ * finite target sets; the translator treats them as predictions only:
+ * the first element seeds the exit's monomorphic inline cache, which
+ * the engine compares against the actually-read target word, so a
+ * stale or wrong hint costs one cache miss, never correctness.
  */
 struct IndirectHints
 {
@@ -161,45 +159,21 @@ struct TOp
     std::uint32_t takenIdx = kNoIdx;
 
     /**
-     * Indirect exits only: the predicted target and its table index
-     * (kNoIdx = no prediction). From an analysis hint (singleton
-     * proven set), or — for kIndAbs — the load-image word at the
-     * specifier address. Predictions let the trace walker chain
-     * through the exit; the walker compares the predicted address
-     * against the target word it actually reads and falls back to the
-     * generic resolver on mismatch, so predictions are never trusted
-     * architecturally.
-     */
-    Addr predTarget = 0;
-    std::uint32_t predIdx = kNoIdx;
-
-    /** kChain: number of sequential ops in the superblock starting
-     *  here (>= 1), ending just before a control/trap op. */
-    std::uint32_t chain = 0;
-
-    /**
-     * Entries in the statically-determined trace starting here: a run
-     * of sequential ops *and* — when chaining is enabled —
-     * statically-resolved unconditionally-taken branches (kJmp with a
-     * static target, incl. folded ones, and direct kCall). The fast
-     * engine's trace walker executes exactly this many entries under a
-     * single cancel/budget poll before re-dispatching. 0 = this op is
-     * not trace-walkable (conditional, return, indirect, halt, trap);
-     * its own handler dispatches it.
+     * kChain only: sequential ops in the straight-line run starting
+     * here (1..kTraceCap), ending just before a control/trap op or at
+     * the cap. The fast engine's trace walker retires exactly this
+     * many ops under a single cancel/budget poll before re-dispatching;
+     * 0 for every control and trap op, which its own handler runs.
      */
     std::uint32_t trace = 0;
-    /** Apparent (architectural) instructions that trace retires —
-     *  folded entries count both halves; the walker's fuel debit. */
-    std::uint32_t traceInstr = 0;
 };
 
 /**
- * Upper bound on trace length in table entries. Caps the translator's
- * trace walk (a static jump cycle must not loop it forever), and bounds
- * the fast engine's poll overshoot: a trace is at most kTraceCap
- * entries, i.e. at most 2 * kTraceCap apparent instructions past the
- * poll that admitted it — well inside the budget-overshoot bound the
- * engine tests pin.
+ * Upper bound on a run's length. Bounds the fast engine's poll
+ * overshoot: a run retires at most kTraceCap instructions past the
+ * poll that admitted it, well inside the budget-overshoot bound the
+ * engine tests pin. A longer straight line is split into capped runs,
+ * each re-entered at its own poll.
  */
 inline constexpr std::uint32_t kTraceCap = 128;
 
@@ -217,15 +191,11 @@ class Translation
      * Build the table. @p predecode may be null, in which case a
      * private cache is created; passing crispd's shared warmed cache
      * makes translation reuse every memoized decode.
-     * @p enable_chaining controls whether traces extend across
-     * unconditionally-taken static branches (SimConfig::enableChaining;
-     * off restores one-basic-block traces).
      * @p hints optionally carries proven indirect-target sets
      * (copied); see IndirectHints for the guarantees.
      */
     Translation(const Program& prog, FoldPolicy policy,
                 PredecodeCache* predecode = nullptr,
-                bool enable_chaining = true,
                 const IndirectHints* hints = nullptr);
 
     Translation(const Translation&) = delete;
@@ -267,14 +237,12 @@ class Translation
 
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
-    /** Whether traces were allowed to cross static taken branches. */
-    bool chaining() const { return chaining_; }
 
     /**
      * Inline-cache seeds: (table index, likely target) for every
-     * indirect exit with a prediction or a hinted bounded set. An
-     * engine may pre-fill its monomorphic caches from these so a
-     * hint-conforming first execution hits instead of missing.
+     * indirect exit with a hinted set or a self-predicted kIndAbs
+     * table word. An engine may pre-fill its monomorphic caches from
+     * these so a conforming first execution hits instead of missing.
      */
     const std::vector<std::pair<std::uint32_t, Addr>>&
     icSeeds() const
@@ -290,11 +258,9 @@ class Translation
     void makeTrap(TOp& t, Addr pc, const std::string& msg);
     void predictIndirects();
     void linkSuccessors();
-    void computeTraces();
 
     const Program& prog_;
     const FoldPolicy policy_;
-    const bool chaining_;
     const Addr textBase_;
     const Addr textEnd_;
     std::unique_ptr<PredecodeCache> ownedPredecode_;

@@ -17,6 +17,7 @@
 #include "asm/assembler.hh"
 #include "cc/compiler.hh"
 #include "sim/cpu.hh"
+#include "util/json.hh"
 #include "verify/generator.hh"
 #include "workloads/workloads.hh"
 
@@ -264,6 +265,19 @@ TEST(Sarif, WarningAndNoteLevelsRoundTrip)
     EXPECT_NE(s.find("byteOffset"), std::string::npos);
     // Every fired rule is declared exactly once in the driver.
     EXPECT_NE(s.find("{\"id\":\"spread.short\"}"), std::string::npos);
+}
+
+TEST(Sarif, ControlCharactersInArtifactUriAreEscaped)
+{
+    // A file name may hold any byte but NUL; the log must still parse
+    // as JSON, with every control character escaped.
+    const AnalysisResult r =
+        analyzeProgram(constantBranchProgram(true), {});
+    const std::string s = r.toSarif("tab\tname\x01.s");
+    EXPECT_TRUE(util::jsonValid(s)) << s;
+    EXPECT_NE(s.find("\"uri\":\"tab\\tname\\u0001.s\""),
+              std::string::npos)
+        << s;
 }
 
 TEST(CostOracle, TamperedBoundIsCaughtAsCostViolation)

@@ -150,25 +150,25 @@ TEST(FastEngineDiff, ObservedAndFreeRunningModesAgree)
 
 TEST(Translation, SuperblockChainsCoverStraightLineRuns)
 {
-    // Three sequential ops followed by a folded conditional: the entry
-    // superblock must span exactly the three bodies (the compare folds
-    // with the branch, which terminates the chain).
+    // Three sequential ops followed by a conditional: the entry run
+    // must span exactly the bodies before the compare (the compare
+    // folds with the branch, which terminates the run).
     Program p = countingLoop(10);
     Translation tr(p, FoldPolicy::kCrisp);
     const std::uint32_t entry = tr.entryIndex();
     ASSERT_NE(entry, kNoIdx);
     const TOp& first = tr.ops()[entry];
     EXPECT_EQ(first.kind, TKind::kChain);
-    // mov; add; then cmp folds with iftjmp -> chain of 2, ending at
+    // mov; add; then cmp folds with iftjmp -> run of 2, ending at
     // the folded conditional.
-    EXPECT_EQ(first.chain, 2u);
+    EXPECT_EQ(first.trace, 2u);
     const TOp& term = tr.ops()[first.seqIdx != kNoIdx
                                    ? tr.ops()[entry].seqIdx
                                    : entry];
     (void)term;
-    // Walk to the chain's terminator and check it is the folded branch.
+    // Walk to the run's terminator and check it is the folded branch.
     std::uint32_t ip = entry;
-    for (std::uint32_t n = first.chain; n > 0; --n)
+    for (std::uint32_t n = first.trace; n > 0; --n)
         ip = tr.ops()[ip].seqIdx;
     ASSERT_NE(ip, kNoIdx);
     const TOp& branch = tr.ops()[ip];
@@ -177,10 +177,12 @@ TEST(Translation, SuperblockChainsCoverStraightLineRuns)
     EXPECT_EQ(branch.bodyOp, Opcode::kCmpLt);
     EXPECT_EQ(branch.branchOp, Opcode::kIfTJmp);
     EXPECT_NE(branch.takenIdx, kNoIdx);
+    // Control ops head no run; their own handlers dispatch them.
+    EXPECT_EQ(branch.trace, 0u);
 
-    // Under kNone nothing folds: the chain also swallows the compare.
+    // Under kNone nothing folds: the run also swallows the compare.
     Translation none(p, FoldPolicy::kNone);
-    EXPECT_EQ(none.ops()[none.entryIndex()].chain, 3u);
+    EXPECT_EQ(none.ops()[none.entryIndex()].trace, 3u);
 }
 
 TEST(Translation, RebuildBumpsEpoch)
@@ -302,39 +304,42 @@ TEST(FastEngine, ImageRevertDropsStaleTranslations)
     EXPECT_EQ(keep.translationEpoch(), 1u);
 }
 
-// ------------------------------------------- directed: trace chaining
+// ---------------------------------------- directed: straight-line runs
 
-// A short straight-line program whose middle jump is fold-provable:
-//   mov a,1; add a,2 (folds with) jmp; add a,3; halt
-// Under kCrisp the jump folds with the preceding add and the whole
-// program is one superblock trace; the halt terminates it.
+// @p ops accumulator adds in one straight line, then a jump over one
+// more add to the halt.
 Program
-foldedJumpRun()
+straightRun(int ops)
 {
     Program p;
-    p.append(Instruction::mov(Operand::accum(), Operand::imm(1)));
-    p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
-                              Operand::imm(2)));
+    for (int k = 0; k < ops; ++k)
+        p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
+                                  Operand::imm(1)));
     p.append(Instruction::branchRel(Opcode::kJmp, 2));
     p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
-                              Operand::imm(3)));
+                              Operand::imm(1)));
     p.append(Instruction::halt());
     return p;
 }
 
-// Straight-line accumulator blocks stitched by unconditional jumps
-// (the bench_perf chain_dense shape, smaller).
+// A loop whose body is one straight run of @p body_ops accumulator
+// adds, iterated @p limit times through a global counter.
 Program
-jumpChain(int blocks, int ops_per_block)
+longBodyLoop(int body_ops, std::int32_t limit)
 {
     Program p;
-    p.append(Instruction::mov(Operand::accum(), Operand::imm(0)));
-    for (int b = 0; b < blocks; ++b) {
-        for (int k = 0; k < ops_per_block; ++k)
-            p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
-                                      Operand::imm(1)));
-        p.append(Instruction::branchRel(Opcode::kJmp, 2));
-    }
+    const Operand counter = Operand::abs(kDataBase);
+    p.append(Instruction::mov(counter, Operand::imm(0)));
+    const Addr loop = p.textEnd();
+    for (int k = 0; k < body_ops; ++k)
+        p.append(Instruction::alu(Opcode::kAdd, Operand::accum(),
+                                  Operand::imm(1)));
+    p.append(Instruction::alu(Opcode::kAdd, counter, Operand::imm(1)));
+    p.append(Instruction::cmp(Opcode::kCmpLt, counter,
+                              Operand::imm(limit)));
+    const Addr br = p.textEnd();
+    p.append(Instruction::branchRel(
+        Opcode::kIfTJmp, static_cast<std::int32_t>(loop - br), true));
     p.append(Instruction::halt());
     return p;
 }
@@ -365,95 +370,60 @@ callLoop(std::int32_t limit)
     return p;
 }
 
-TEST(Translation, TracesChainAcrossFoldedAlwaysTakenJump)
-{
-    const Program p = foldedJumpRun();
-    Translation tr(p, FoldPolicy::kCrisp);
-    const std::uint32_t entry = tr.entryIndex();
-    ASSERT_NE(entry, kNoIdx);
-    const TOp& head = tr.ops()[entry];
-    ASSERT_EQ(head.kind, TKind::kChain);
-    // Chains stop at the jump; traces walk through it: mov, then the
-    // folded (add+jmp) pair, then the trailing add — 3 entries for 4
-    // architectural instructions.
-    EXPECT_EQ(head.chain, 1u);
-    EXPECT_EQ(head.trace, 3u);
-    EXPECT_EQ(head.traceInstr, 4u);
-    const TOp& jump = tr.ops()[head.seqIdx];
-    ASSERT_EQ(jump.kind, TKind::kJmp);
-    EXPECT_TRUE(jump.folded);
-    EXPECT_FALSE(jump.dynTarget);
-    // The jump heads its own (shorter) trace: itself plus the add.
-    EXPECT_EQ(jump.trace, 2u);
-    EXPECT_EQ(jump.traceInstr, 3u);
-
-    // Chaining off: traces degenerate to the PR 7 chains — kChain ops
-    // cover exactly their chain, control ops are not walkable at all.
-    Translation flat(p, FoldPolicy::kCrisp, nullptr,
-                     /*enable_chaining=*/false);
-    for (std::uint32_t i = 0; i < flat.size(); ++i) {
-        const TOp& t = flat.ops()[i];
-        if (t.kind == TKind::kChain)
-            EXPECT_EQ(t.trace, t.chain);
-        else
-            EXPECT_EQ(t.trace, 0u);
-    }
-}
-
 TEST(Translation, TraceLengthIsCappedAtKTraceCap)
 {
-    // 3 x kTraceCap walkable entries in one straight run: every trace
-    // the walker can enter must stay within the cap (this is what
-    // bounds the budget/cancel poll overshoot).
-    const Program p =
-        jumpChain(static_cast<int>(kTraceCap) / 2, 5);
+    // 3 x kTraceCap + 5 adds in one straight line: every run the walker
+    // can enter must stay within the cap (this is what bounds the
+    // budget/cancel poll overshoot), and no run crosses the jump.
+    const int ops = 3 * static_cast<int>(kTraceCap) + 5;
+    const Program p = straightRun(ops);
     Translation tr(p, FoldPolicy::kCrisp);
     std::uint32_t longest = 0;
     for (std::uint32_t i = 0; i < tr.size(); ++i) {
-        longest = std::max(longest, tr.ops()[i].trace);
-        EXPECT_LE(tr.ops()[i].traceInstr, 2 * kTraceCap);
+        const TOp& t = tr.ops()[i];
+        longest = std::max(longest, t.trace);
+        EXPECT_LE(t.trace, kTraceCap);
+        EXPECT_EQ(t.trace != 0, t.kind == TKind::kChain);
     }
     EXPECT_EQ(longest, kTraceCap);
-}
-
-TEST(FastEngine, ChainingOffMatchesChainingOnEverywhere)
-{
-    for (std::uint64_t seed = 500; seed < 540; ++seed) {
-        const Program prog = verify::generate(seed).link();
-        FastEngine on(prog);
-        on.run();
-        SimConfig off_cfg;
-        off_cfg.enableChaining = false;
-        FastEngine off(prog, off_cfg);
-        off.run();
-        EXPECT_EQ(on.stats(), off.stats()) << "seed " << seed;
-        EXPECT_EQ(on.accum(), off.accum());
-        EXPECT_EQ(on.sp(), off.sp());
-        EXPECT_EQ(on.memory().bytes(), off.memory().bytes());
-    }
+    EXPECT_EQ(tr.ops()[tr.entryIndex()].trace, kTraceCap);
+    // The add past the jump runs alone: the jump ends the run before
+    // it and the halt the run after it.
+    const TOp* jump = std::find_if(
+        tr.ops(), tr.ops() + tr.size(),
+        [](const TOp& t) { return t.kind == TKind::kJmp; });
+    ASSERT_NE(jump, tr.ops() + tr.size());
+    ASSERT_NE(jump->takenIdx, kNoIdx);
+    EXPECT_EQ(tr.ops()[jump->takenIdx].trace, 1u);
 }
 
 TEST(FastEngine, BudgetOvershootStaysWithinPollPlusTraceCap)
 {
-    // A chain-dense program is the worst case for the budget poll: the
-    // walker debits a whole trace up front and polls once per trace.
-    const Program prog = jumpChain(1200, 8);
+    // A loop body longer than kTraceCap is the worst case for the
+    // budget poll: the walker debits a whole capped run up front and
+    // polls once per run.
+    const Program prog =
+        longBodyLoop(2 * static_cast<int>(kTraceCap) + 40, 1'000);
+    const Translation tr(prog, FoldPolicy::kCrisp);
+    const std::uint32_t head = tr.ops()[tr.entryIndex()].seqIdx;
+    ASSERT_NE(head, kNoIdx);
+    ASSERT_EQ(tr.ops()[head].trace, kTraceCap);
     SimConfig cfg;
     cfg.maxCycles = 5'000;
     FastEngine eng(prog, cfg);
     eng.run();
     EXPECT_TRUE(eng.stats().timedOut);
     EXPECT_GE(eng.stats().apparent, 5'000u);
-    EXPECT_LT(eng.stats().apparent, 5'000u + 4'096u + 2 * kTraceCap);
+    EXPECT_LT(eng.stats().apparent, 5'000u + 4'096u + kTraceCap);
 }
 
-// ---------------------------- directed: predicted indirect chaining
+// ------------------------------------ directed: inline-cache seeding
 
 TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
 {
     // kIndAbs with a clean table: the translator predicts the
-    // load-image word, the trace walker chains straight through the
-    // dispatch, and the inline cache is never even consulted.
+    // load-image word and seeds the exit's inline cache with it, so
+    // the one dispatch hits and the full lookup never runs.
     const Program prog = mutableDispatch(false);
     Translation trans(prog, FoldPolicy::kCrisp);
     const std::uint32_t bi = trans.indexOf(prog.entry);
@@ -461,16 +431,15 @@ TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
     const TOp& jmp = trans.ops()[bi];
     ASSERT_EQ(jmp.kind, TKind::kJmp);
     ASSERT_TRUE(jmp.dynTarget);
-    EXPECT_NE(jmp.predIdx, kNoIdx);
-    // The trace covers the dispatch plus the landing arm.
-    EXPECT_GE(jmp.trace, 2u);
-    EXPECT_FALSE(trans.icSeeds().empty());
+    ASSERT_EQ(trans.icSeeds().size(), 1u);
+    EXPECT_EQ(trans.icSeeds()[0].first, bi);
 
     FastEngine eng(prog);
     eng.run();
     ASSERT_TRUE(eng.halted());
     EXPECT_EQ(eng.accum(), 11);
     EXPECT_EQ(eng.icMisses(), 0u);
+    EXPECT_EQ(eng.icHits(), 1u);
 
     Interpreter interp(prog);
     interp.run();
@@ -481,14 +450,16 @@ TEST(FastEngine, SelfPredictedIndirectChainsThroughTable)
 TEST(FastEngine, MispredictedIndirectTakesGuardPath)
 {
     // The program overwrites its own jump table before dispatching:
-    // the self-prediction (from the load image) is wrong, and the
-    // runtime guard must route control to the re-targeted arm with
-    // fully interpreter-equivalent state.
+    // the self-prediction (from the load image) is wrong, so the
+    // seeded inline cache misses and the full lookup must route
+    // control to the re-targeted arm with fully interpreter-equivalent
+    // state.
     const Program prog = mutableDispatch(true);
     FastEngine eng(prog);
     eng.run();
     ASSERT_TRUE(eng.halted());
     EXPECT_EQ(eng.accum(), 77);
+    EXPECT_EQ(eng.icMisses(), 1u);
 
     Interpreter interp(prog);
     const InterpResult ir = interp.run();
@@ -499,8 +470,8 @@ TEST(FastEngine, MispredictedIndirectTakesGuardPath)
 TEST(FastEngine, HintedSingletonChainsThroughIndSpDispatch)
 {
     // kIndSp cannot self-predict (the slot address depends on SP), so
-    // a proven-singleton hint is what unlocks chaining. A *wrong*
-    // hint must cost nothing but the misprediction.
+    // a hint is what seeds its inline cache. A *wrong* hint must cost
+    // nothing but the cache miss.
     Program p;
     const Addr table = kDataBase;
     p.append(Instruction::mov(Operand::stack(0), Operand::abs(table)));
@@ -517,18 +488,23 @@ TEST(FastEngine, HintedSingletonChainsThroughIndSpDispatch)
     p.append(Instruction::halt());
     pokeDataWord(p, table, static_cast<Word>(arm_a));
 
-    // Unhinted: the indirect exit terminates the trace.
-    Translation bare(p, FoldPolicy::kCrisp);
+    // Unhinted: nothing to seed, so the first dispatch misses.
+    const Translation bare(p, FoldPolicy::kCrisp);
     const std::uint32_t bi = bare.indexOf(branch_pc);
     ASSERT_NE(bi, kNoIdx);
-    EXPECT_EQ(bare.ops()[bi].predIdx, kNoIdx);
+    EXPECT_TRUE(bare.icSeeds().empty());
+    FastEngine unhinted(p);
+    unhinted.run();
+    ASSERT_TRUE(unhinted.halted());
+    EXPECT_EQ(unhinted.icMisses(), 1u);
 
-    // Correct singleton hint: prediction installed, trace extends.
+    // Correct singleton hint: the seed is installed and hits.
     IndirectHints hints;
     hints.targets[branch_pc] = {arm_a};
-    Translation hinted(p, FoldPolicy::kCrisp, nullptr, true, &hints);
-    EXPECT_EQ(hinted.ops()[bi].predTarget, arm_a);
-    EXPECT_GE(hinted.ops()[bi].trace, 2u);
+    const Translation hinted(p, FoldPolicy::kCrisp, nullptr, &hints);
+    ASSERT_EQ(hinted.icSeeds().size(), 1u);
+    EXPECT_EQ(hinted.icSeeds()[0].first, bi);
+    EXPECT_EQ(hinted.icSeeds()[0].second, arm_a);
 
     FastEngine eng(p, SimConfig{}, nullptr, nullptr, &hints);
     eng.run();
@@ -536,13 +512,16 @@ TEST(FastEngine, HintedSingletonChainsThroughIndSpDispatch)
     EXPECT_EQ(eng.accum(), 11);
     EXPECT_EQ(eng.icMisses(), 0u);
 
-    // Wrong hint: guarded, so the result is unchanged.
+    // Wrong hint: the cache is checked against the word actually
+    // read, so the result is unchanged.
     IndirectHints wrong;
     wrong.targets[branch_pc] = {arm_b};
     FastEngine eng2(p, SimConfig{}, nullptr, nullptr, &wrong);
     eng2.run();
     ASSERT_TRUE(eng2.halted());
     EXPECT_EQ(eng2.accum(), 11);
+    EXPECT_EQ(eng2.icMisses(), 1u);
+    EXPECT_EQ(eng2.stats(), eng.stats());
 
     Interpreter interp(p);
     interp.run();
@@ -649,9 +628,6 @@ TEST(FastEngine, SharedTranslationRejectsMismatchedConfig)
     SimConfig cfg;
     cfg.foldPolicy = FoldPolicy::kAll;
     EXPECT_THROW(FastEngine(prog, cfg, nullptr, &warm), CrispError);
-    SimConfig flat;
-    flat.enableChaining = false;
-    EXPECT_THROW(FastEngine(prog, flat, nullptr, &warm), CrispError);
 }
 
 TEST(FastEngine, SharedTranslationStaysPinnedAcrossTextDirtyReset)

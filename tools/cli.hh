@@ -1,10 +1,10 @@
 /**
  * @file
- * Command-line helpers shared by the tools: the `--key=value` matcher
- * and a strict numeric parser. A numeric flag reads its whole value
- * with std::from_chars and checks a range, so a malformed or
- * out-of-range value is a usage error (exit 2), never a silent 0 or a
- * truncated prefix.
+ * Command-line helpers shared by the tools: the `--key=value` matcher,
+ * a strict numeric parser and the `--fold=` policy names. A numeric
+ * flag reads its whole value with std::from_chars and checks a range,
+ * so a malformed or out-of-range value is a usage error (exit 2),
+ * never a silent 0 or a truncated prefix.
  */
 
 #ifndef CRISP_TOOLS_CLI_HH
@@ -15,6 +15,8 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+
+#include "sim/config.hh"
 
 namespace crisp::cli
 {
@@ -45,6 +47,23 @@ parseInt(const char* text, T& out, std::type_identity_t<T> lo,
     if (ec != std::errc{} || stop != end || v < lo || v > hi)
         return false;
     out = v;
+    return true;
+}
+
+/** Parse a `--fold=` value (none|crisp|all) into @p out. @return
+ *  false, leaving @p out untouched, on any other text. */
+inline bool
+parseFold(const char* text, FoldPolicy& out)
+{
+    const std::string v = text;
+    if (v == "none")
+        out = FoldPolicy::kNone;
+    else if (v == "crisp")
+        out = FoldPolicy::kCrisp;
+    else if (v == "all")
+        out = FoldPolicy::kAll;
+    else
+        return false;
     return true;
 }
 

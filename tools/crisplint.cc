@@ -2,7 +2,7 @@
  * @file
  * crisplint — static analysis of CRISP object files and assembly.
  *
- *   crisplint file.obj|file.s [--policy=none|crisp|all]
+ *   crisplint file.obj|file.s [--fold=none|crisp|all]
  *             [--predict=none|heuristic|naive] [--stack-words=N]
  *             [--dot] [--json] [--sarif] [--cost] [--no-info]
  *             [--smoke]
@@ -20,7 +20,8 @@
  *   --cost         append the abstract-interpretation cost table —
  *                  per-site static delay bounds in cycles — to the
  *                  text report (--json already embeds the bounds)
- *   --policy=      fold policy to analyze under (default crisp)
+ *   --fold=        fold policy to analyze under (default crisp; the
+ *                  same flag and values as crisprun)
  *   --predict=     prediction-bit convention to check (default
  *                  heuristic; `none` for generated/torture programs,
  *                  `naive` for all-not-taken builds)
@@ -55,7 +56,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: crisplint file.obj|file.s\n"
-        "                 [--policy=none|crisp|all]\n"
+        "                 [--fold=none|crisp|all]\n"
         "                 [--predict=none|heuristic|naive]\n"
         "                 [--stack-words=N] [--dot] [--json]\n"
         "                 [--sarif] [--cost] [--no-info] [--smoke]\n");
@@ -191,15 +192,8 @@ main(int argc, char** argv)
             no_info = true;
         } else if (a == "--smoke") {
             run_smoke = true;
-        } else if (const char* v = val("--policy=")) {
-            const std::string p = v;
-            if (p == "none")
-                opt.policy = crisp::FoldPolicy::kNone;
-            else if (p == "crisp")
-                opt.policy = crisp::FoldPolicy::kCrisp;
-            else if (p == "all")
-                opt.policy = crisp::FoldPolicy::kAll;
-            else
+        } else if (const char* v = val("--fold=")) {
+            if (!cli::parseFold(v, opt.policy))
                 return usage();
         } else if (const char* v2 = val("--predict=")) {
             const std::string p = v2;

@@ -127,14 +127,7 @@ main(int argc, char** argv)
             else
                 return usage();
         } else if (const char* v2 = val("--fold=")) {
-            const std::string f = v2;
-            if (f == "none")
-                cfg.foldPolicy = FoldPolicy::kNone;
-            else if (f == "crisp")
-                cfg.foldPolicy = FoldPolicy::kCrisp;
-            else if (f == "all")
-                cfg.foldPolicy = FoldPolicy::kAll;
-            else
+            if (!cli::parseFold(v2, cfg.foldPolicy))
                 return usage();
         } else if (const char* v3 = val("--dic=")) {
             // --dic and --mem-latency take the ranges crispd admits.

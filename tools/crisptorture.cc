@@ -98,10 +98,6 @@ struct Options
     bool faults = false;
     bool shrinkDemo = false;
     bool engineDiff = false;
-    /** --no-chain: run the fast-engine legs with superblock chaining
-     *  disabled (SimConfig::enableChaining = false), so CI can sweep
-     *  the trace walker's fallback path with the same seeds. */
-    bool noChain = false;
     bool optMode = false;
     FaultKind onlyFault = FaultKind::kNone;
     std::uint64_t maxSteps = 1'000'000;
@@ -123,8 +119,7 @@ usage()
         "usage: crisptorture [--seeds=N] [--seed0=K]\n"
         "                    [--configs=quick|full]\n"
         "                    [--faults [--fault-kind=NAME]]\n"
-        "                    [--shrink-demo] [--engine-diff "
-        "[--no-chain]] [--opt]\n"
+        "                    [--shrink-demo] [--engine-diff] [--opt]\n"
         "                    [--max-steps=N]\n"
         "                    [--timeout-ms=N] [--jobs=N] [-v]\n"
         "fault kinds: flip-predict-bit unfold-pair drop-fill\n"
@@ -415,8 +410,7 @@ engineSweep(const Options& opt)
     sweepSeeds(opt, [&](std::size_t i) {
         const std::uint64_t s = opt.seed0 + i;
         const GenProgram gp = generate(s);
-        for (SimConfig cfg : cfgs) {
-            cfg.enableChaining = !opt.noChain;
+        for (const SimConfig& cfg : cfgs) {
             for (const bool fast : {true, false}) {
                 const char* const leg = fast ? "fast" : "cycle";
                 const auto run = [&](const GenProgram& cand) {
@@ -483,10 +477,10 @@ engineSweep(const Options& opt)
         bad += r.bad;
         timed_out += r.timedOut;
     }
-    std::printf("engine torture: %llu seeds x %zu configs x 3 engines%s, "
+    std::printf("engine torture: %llu seeds x %zu configs x 3 engines, "
                 "%d divergences, %d timeouts\n",
                 static_cast<unsigned long long>(opt.seeds), cfgs.size(),
-                opt.noChain ? " (chaining off)" : "", bad, timed_out);
+                bad, timed_out);
     return bad + timed_out;
 }
 
@@ -831,8 +825,6 @@ main(int argc, char** argv)
             opt.shrinkDemo = true;
         } else if (a == "--engine-diff") {
             opt.engineDiff = true;
-        } else if (a == "--no-chain") {
-            opt.noChain = true;
         } else if (a == "--opt") {
             opt.optMode = true;
         } else if (const char* v5 = val("--max-steps=")) {
