@@ -7,21 +7,19 @@
  *
  * Times five workloads with std::chrono::steady_clock, each under two
  * execution paths — the cycle simulator (`fast`: decode results from
- * the predecode tables) and the direct-threaded functional FastEngine
- * (one engine per unit, a shared PredecodeCache plus a warm shared
- * Translation, FastEngine::reset() between replays — exactly the
- * warm-replay pattern crispd serves from its program registry):
+ * the predecode tables) and the direct-threaded functional FastEngine.
+ * Every replay runs on a freshly constructed machine, the way every
+ * caller runs one (SimService::runJob, the lockstep runners, the
+ * static oracle): a unit's replays share one PredecodeCache and, for
+ * the FastEngine, one warm Translation, exactly as SimService::runJob
+ * borrows both from its program registry.
  *
  *  - torture_replay: replays the torture generator's programs (the same
  *    seeds the differential suite sweeps) on the default CRISP
- *    configuration. Each program is replayed several times, the way
- *    crisptorture actually uses them (one run per lockstep config, per
- *    fault kind, per shrinking step): one CrispCpu per program,
- *    CrispCpu::reset() between replays (timed as hot-loop work), and
- *    all replays share one PredecodeCache, so runs after the first do
- *    no decode work at all. torture_replay_checked adds
- *    the retire-time decode checker, the worst case for decode
- *    overhead.
+ *    configuration, each several times over one shared PredecodeCache,
+ *    so runs after the first do no decode work at all.
+ *    torture_replay_checked adds the retire-time decode checker, the
+ *    worst case for decode overhead.
  *  - table4_fig3: the paper's Figure 3 program compiled for all five
  *    Table 4 cases.
  *  - dic_thrash: a loop whose body far exceeds the 32-entry DIC, so the
@@ -29,22 +27,23 @@
  *  - chain_dense: straight-line accumulator blocks stitched together by
  *    unconditional jumps — no memory traffic and no conditional exits,
  *    so the fast engine alternates one straight-line run with one jump
- *    handler. Replayed many times to exercise the O(dirty) warm reset.
+ *    handler.
  *
- * Three times are reported per measurement: hotSeconds (run only — the
- * hot loop the PR optimizes), setupSeconds (machine construction, paid
- * once per unit: image zeroing, and for cold paths decode/translate),
- * and endToEndSeconds (their sum). On the fastengine path the shared
- * Translation is prepared untimed, the way crispd's registry hands a
- * registry-warm translation to every fast job, so setup is image
- * zeroing alone. Rates are simulated instructions (architectural) and
- * simulated cycles per host second, best of --reps repetitions.
+ * Three times are reported per measurement: hotSeconds (the runs
+ * only — the hot loop), setupSeconds (machine construction, paid once
+ * per replay: the memory image load, and for the cycle simulator its
+ * DIC, predictor and PDU) and endToEndSeconds (their sum). The shared
+ * PredecodeCache and, on the fastengine path, the shared Translation
+ * are prepared untimed, the way crispd's registry hands registry-warm
+ * tables to every job. Rates are simulated instructions
+ * (architectural) and simulated cycles per host second, best of
+ * --reps repetitions.
  *
  * Program preparation (generation, linking, compilation) fans out over
  * a thread pool (--jobs) and is never timed. The measured runs are
  * strictly sequential so one run never steals cycles from another.
  *
- * Output: a single JSON object (schema "crisp-bench-perf/5", described
+ * Output: a single JSON object (schema "crisp-bench-perf/6", described
  * in docs/PERFORMANCE.md) written to --out (default BENCH_PERF.json)
  * and validated by re-parsing before exit. --smoke shrinks every
  * workload to fractions of a second and is wired into ctest.
@@ -53,8 +52,8 @@
  * BENCH_PERF.json instead of writing one. Absolute instr/s depends on
  * the host, so the check is ratio-normalized: for every workload both
  * the measured fastengine-over-cycle hot-loop speedup and the
- * end-to-end speedup (which also covers the warm-replay setup path)
- * must be at least 0.6x the committed values — a >40% relative
+ * end-to-end speedup (which also covers machine construction) must be
+ * at least 0.6x the committed values — a >40% relative
  * regression of the threaded engine fails the build on any machine.
  * (The factor is sized to the observed run-to-run ratio jitter of a
  * noisy shared-host vCPU, roughly ±30% around the median; a broken
@@ -119,12 +118,12 @@ struct Measure
 };
 
 /**
- * Run every unit @p replays times, timing construction and run
- * separately. All replays of a unit share one PredecodeCache (the crisptorture usage pattern: the same program runs
- * once per lockstep config / fault kind / shrink step), so replays
- * after the first skip decode work entirely. The stats must describe a
- * clean halt: a fault or timeout means the harness is measuring a
- * broken simulation and must say so.
+ * Run every unit @p replays times, each replay on a freshly constructed
+ * machine, timing construction and run separately. A unit's replays
+ * share one PredecodeCache and, on the FastEngine, one warm
+ * Translation, so replays after the first skip decode work entirely.
+ * The stats must describe a clean halt: a fault or timeout means the
+ * harness is measuring a broken simulation and must say so.
  */
 template <class Machine>
 Measure
@@ -136,31 +135,25 @@ runOnce(const std::vector<Unit>& units, int replays)
         PredecodeCache shared(u.prog);
         std::unique_ptr<Translation> warm;
         if constexpr (engine) {
-            // The registry-warm pattern from crispd: the translation is
-            // built once per program x policy and shared by every run,
-            // so machine setup is image zeroing alone. Prepared untimed
-            // exactly like the shared PredecodeCache above.
+            // Built once per program x policy and shared by every run,
+            // prepared untimed like the shared PredecodeCache above.
             warm = std::make_unique<Translation>(
                 u.prog, u.cfg.foldPolicy, &shared);
         }
-        std::optional<Machine> cpu;
-        const auto t0 = Clock::now();
-        if constexpr (engine)
-            cpu.emplace(u.prog, u.cfg, &shared, warm.get());
-        else
-            cpu.emplace(u.prog, u.cfg, &shared);
-        const double ctor = secondsSince(t0);
-        m.setupSeconds += ctor;
         for (int r = 0; r < replays; ++r) {
-            // Replays reuse the machine: reset() is the per-replay
-            // setup cost, so it is timed as part of the hot loop.
+            std::optional<Machine> cpu;
+            const auto t0 = Clock::now();
+            if constexpr (engine)
+                cpu.emplace(u.prog, u.cfg, &shared, warm.get());
+            else
+                cpu.emplace(u.prog, u.cfg, &shared);
+            const double ctor = secondsSince(t0);
             const auto t1 = Clock::now();
-            if (r != 0)
-                cpu->reset();
             const SimStats& s = cpu->run();
             const double hot = secondsSince(t1);
+            m.setupSeconds += ctor;
             m.hotSeconds += hot;
-            m.endToEndSeconds += hot + (r == 0 ? ctor : 0.0);
+            m.endToEndSeconds += ctor + hot;
             m.simInstructions += s.apparent;
             m.simCycles += s.cycles;
             if (s.faulted)
@@ -265,7 +258,7 @@ committedRatio(const std::string& json, const std::string& workload,
         throw CrispError(
             "bench_perf: baseline has no " + ratio_key +
             " for \"" + workload +
-            "\" (schema crisp-bench-perf/5 required; regenerate "
+            "\" (schema crisp-bench-perf/6 required; regenerate "
             "BENCH_PERF.json with bench_perf --out)");
     }
     return std::strtod(json.c_str() + k + key.size(), nullptr);
@@ -391,7 +384,7 @@ main(int argc, char** argv)
         };
 
         std::ostringstream os;
-        os << "{\"schema\":\"crisp-bench-perf/5\""
+        os << "{\"schema\":\"crisp-bench-perf/6\""
            << ",\"mode\":\"" << (smoke ? "smoke" : "full") << "\""
            << ",\"jobs\":" << jobs << ",\"reps\":" << reps
            << ",\"workloads\":[";

@@ -9,91 +9,25 @@ namespace crisp
 {
 
 void
-MemoryImage::copySegments(const Program& prog, Addr lo, Addr hi)
+MemoryImage::load(const Program& prog)
 {
+    bytes_.assign(prog.memBytes, 0);
+
     const Addr text_bytes =
         static_cast<Addr>(prog.text.size()) * kParcelBytes;
     if (prog.textBase + text_bytes > prog.memBytes)
         throw CrispError("text segment does not fit in memory");
-    if (prog.textBase < hi && lo < prog.textBase + text_bytes) {
-        for (std::size_t i = 0; i < prog.text.size(); ++i) {
-            const Parcel p = prog.text[i];
-            const Addr a =
-                prog.textBase + static_cast<Addr>(i) * kParcelBytes;
-            bytes_[a] = static_cast<std::uint8_t>(p);
-            bytes_[a + 1] = static_cast<std::uint8_t>(p >> 8);
-        }
+    for (std::size_t i = 0; i < prog.text.size(); ++i) {
+        const Parcel p = prog.text[i];
+        const Addr a = prog.textBase + static_cast<Addr>(i) * kParcelBytes;
+        bytes_[a] = static_cast<std::uint8_t>(p);
+        bytes_[a + 1] = static_cast<std::uint8_t>(p >> 8);
     }
 
     if (prog.dataBase + prog.data.size() > prog.memBytes)
         throw CrispError("data segment does not fit in memory");
-    if (prog.dataBase < hi && lo < prog.dataBase + prog.data.size()) {
-        for (std::size_t i = 0; i < prog.data.size(); ++i)
-            bytes_[prog.dataBase + i] = prog.data[i];
-    }
-}
-
-void
-MemoryImage::load(const Program& prog)
-{
-    bytes_.assign(prog.memBytes, 0);
-    // One bit per 64-byte line, rounded up to whole 64-bit words.
-    dirty_.assign((bytes_.size() + (std::uint64_t{64} << kLineShift) - 1)
-                      >> (kLineShift + 6),
-                  0);
-    journalCount_ = 0;
-    journalOverflow_ = false;
-    copySegments(prog);
-}
-
-void
-MemoryImage::revert(const Program& prog)
-{
-    if (!journalOverflow_) {
-        // Every store since the last load()/revert() is in the
-        // journal: undoing it in LIFO order restores the pre-write
-        // bytes exactly, even when entries overlap. No line memsets,
-        // no segment re-copies — O(words written), the warm-replay
-        // fast path. The bitmap words are cleared wholesale (a few
-        // cache lines for a 256 KiB image).
-        while (journalCount_ > 0) {
-            const Undo& u = journal_[--journalCount_];
-            std::memcpy(bytes_.data() + u.addr, &u.old, 4);
-        }
-        std::fill(dirty_.begin(), dirty_.end(), 0);
-        return;
-    }
-    journalCount_ = 0;
-    journalOverflow_ = false;
-    // Every line whose dirty bit is clear still holds its load-time
-    // value; zeroing the dirty lines and re-copying any segment they
-    // may overlap reproduces load(prog) exactly.
-    Addr lo = ~Addr{0};
-    Addr hi = 0;
-    for (std::size_t w = 0; w < dirty_.size(); ++w) {
-        std::uint64_t bits = dirty_[w];
-        if (bits == 0)
-            continue;
-        dirty_[w] = 0;
-        while (bits != 0) {
-            const int b = std::countr_zero(bits);
-            bits &= bits - 1;
-            const Addr line =
-                (static_cast<Addr>(w) * 64 + static_cast<Addr>(b))
-                << kLineShift;
-            const Addr n = bytes_.size() - line < (Addr{1} << kLineShift)
-                               ? static_cast<Addr>(bytes_.size()) - line
-                               : Addr{1} << kLineShift;
-            std::memset(bytes_.data() + line, 0, n);
-            if (line < lo)
-                lo = line;
-            if (line + n > hi)
-                hi = line + n;
-        }
-    }
-    // Re-copy only segments the zeroed range may have wiped.
-    if (hi > lo)
-        copySegments(prog, lo, hi);
+    for (std::size_t i = 0; i < prog.data.size(); ++i)
+        bytes_[prog.dataBase + i] = prog.data[i];
 }
 
 } // namespace crisp

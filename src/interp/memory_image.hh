@@ -7,8 +7,6 @@
 #ifndef CRISP_INTERP_MEMORY_IMAGE_HH
 #define CRISP_INTERP_MEMORY_IMAGE_HH
 
-#include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -34,16 +32,6 @@ class MemoryImage
 
     /** (Re)initialize from a program. */
     void load(const Program& prog);
-
-    /**
-     * Restore the image to the state load(@p prog) would produce,
-     * where @p prog is the program already loaded: zero the window of
-     * addresses written since, then re-copy the text and data
-     * segments. O(bytes actually written) instead of O(memBytes) —
-     * the difference between reusing a machine for a replay and
-     * re-zeroing a 256 KiB image per run.
-     */
-    void revert(const Program& prog);
 
     Addr size() const { return static_cast<Addr>(bytes_.size()); }
 
@@ -90,16 +78,6 @@ class MemoryImage
     write32(Addr a, std::uint32_t v)
     {
         check(a, 4);
-        if (!journalOverflow_) [[likely]] {
-            if (journalCount_ < kJournalCap) {
-                Undo& u = journal_[journalCount_++];
-                u.addr = a;
-                std::memcpy(&u.old, bytes_.data() + a, 4);
-            } else {
-                journalOverflow_ = true;
-            }
-        }
-        markDirty(a);
         if constexpr (std::endian::native == std::endian::little) {
             std::memcpy(bytes_.data() + a, &v, 4);
             return;
@@ -112,66 +90,7 @@ class MemoryImage
 
     const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
-    /**
-     * True when any 64-byte dirty line written since the last load() /
-     * revert() overlaps [@p lo, @p hi). The fast engine queries the
-     * text window *before* reverting: a store into text means its
-     * translation describes stale bytes and must be rebuilt after the
-     * revert restores the original image.
-     */
-    bool
-    dirtyInRange(Addr lo, Addr hi) const
-    {
-        if (lo >= hi || bytes_.empty())
-            return false;
-        const Addr last = std::min<Addr>(hi - 1, size() - 1);
-        for (Addr line = lo >> kLineShift; line <= (last >> kLineShift);
-             ++line) {
-            if (dirty_[line >> 6] & (std::uint64_t{1} << (line & 63)))
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * Word-granularity write journal capacity. Runs that store at most
-     * this many words (the typical torture replay: a few stack frames)
-     * revert by LIFO undo of the journal — no line memsets, no segment
-     * re-copies. Longer runs overflow the journal once and fall back
-     * to the dirty-line bitmap path; the bitmap is maintained either
-     * way, so dirtyInRange() never depends on which path revert takes.
-     */
-    static constexpr std::uint32_t kJournalCap = 128;
-
-    /** True when the journal has overflowed since the last load() /
-     *  revert() — the next revert will take the bitmap path. Exposed
-     *  for the journal-equivalence tests. */
-    bool journalOverflowed() const { return journalOverflow_; }
-
-    /** Journalled (not yet reverted) word writes; 0 after revert. */
-    std::uint32_t journalDepth() const { return journalCount_; }
-
   private:
-    /** Copy into the image whichever of @p prog's text and data
-     *  segments overlap [@p lo, @p hi) — the address window a revert
-     *  zeroed (the default covers everything, i.e. a full load). */
-    void copySegments(const Program& prog, Addr lo = 0,
-                      Addr hi = ~Addr{0});
-
-    /** Dirty granule: 64-byte lines, one bit each in dirty_. */
-    static constexpr int kLineShift = 6;
-
-    /** Mark the line(s) covered by a 4-byte store at @p a. */
-    void
-    markDirty(Addr a)
-    {
-        dirty_[a >> (kLineShift + 6)] |=
-            std::uint64_t{1} << ((a >> kLineShift) & 63);
-        const Addr b = a + 3;
-        dirty_[b >> (kLineShift + 6)] |=
-            std::uint64_t{1} << ((b >> kLineShift) & 63);
-    }
-
     void
     check(Addr a, Addr n) const
     {
@@ -181,24 +100,6 @@ class MemoryImage
     }
 
     std::vector<std::uint8_t> bytes_;
-
-    /** One bit per 64-byte line written since the last load() /
-     *  revert(): exactly what a revert has to undo. A run touches a
-     *  few dozen lines (its stack frames and globals), so reverting is
-     *  orders of magnitude cheaper than re-zeroing the whole image. */
-    std::vector<std::uint64_t> dirty_;
-
-    /** One journalled store: the address and the 4 bytes it clobbered
-     *  (captured/restored by memcpy, so endianness never matters). */
-    struct Undo
-    {
-        Addr addr;
-        std::uint32_t old;
-    };
-
-    std::array<Undo, kJournalCap> journal_;
-    std::uint32_t journalCount_ = 0;
-    bool journalOverflow_ = false;
 };
 
 } // namespace crisp

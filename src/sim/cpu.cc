@@ -28,34 +28,6 @@ CrispCpu::CrispCpu(const Program& prog, const SimConfig& cfg,
 }
 
 void
-CrispCpu::reset()
-{
-    mem_.revert(prog_); // O(bytes written), not O(memBytes)
-    dic_.invalidateAll();
-    stats_ = SimStats{};
-    pdu_.reset();
-    hwPredictor_.reset();
-    stackCache_.reset();
-    sp_ = (prog_.memBytes - kWordBytes) & ~(kWordBytes - 1);
-    accum_ = 0;
-    flag_ = false;
-    halted_ = false;
-    for (Stage& s : stages_)
-        s.valid = false;
-    irP_ = &stages_[0];
-    orP_ = &stages_[1];
-    rrP_ = &stages_[2];
-    nextIssuePc_ = prog_.entry;
-    stallUntil_ = 0;
-    block_ = Block::kNone;
-    now_ = 0;
-    lastMissPc_ = ~Addr{0};
-    penaltyStall_ = 0;
-    cancelCountdown_ = kCancelCheckInterval;
-    traceNote_.clear();
-}
-
-void
 CrispCpu::setCancelFlag(const std::atomic<bool>* flag)
 {
     cancel_ = flag;

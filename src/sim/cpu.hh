@@ -65,9 +65,9 @@ class CrispCpu
   public:
     /**
      * @p shared_predecode optionally supplies an external predecode
-     * cache so repeated runs of the same program (lockstep sweeps,
-     * shrinking, fault campaigns, benchmarking replays) skip all decode
-     * work after the first run. The cache is a pure memoization of
+     * cache so repeated runs of the same program (crispd's program
+     * registry, bench_perf's replays) skip all decode work after the
+     * first run. The cache is a pure memoization of
      * (text, fold policy) -> decoded entry, so sharing it cannot change
      * simulated behaviour — but it MUST have been built over a Program
      * with the same text segment as @p prog. Pass nullptr (the default)
@@ -91,18 +91,6 @@ class CrispCpu
 
     /** Advance exactly one cycle. @return false once halted. */
     bool tick(ExecObserver* observer = nullptr);
-
-    /**
-     * Return the machine to its power-on state over the same program
-     * and configuration, exactly as if freshly constructed: memory
-     * image reloaded, DIC invalidated, pipeline drained, statistics
-     * zeroed. Nothing is reallocated, so replay loops (lockstep
-     * sweeps, fault campaigns, benchmark replays) can reuse one
-     * CrispCpu instead of paying construction per run. Installed
-     * trace sinks and fault hooks are retained, as is the predecode
-     * cache (a pure memoization of the immutable text segment).
-     */
-    void reset();
 
     // Architectural state (valid after run / between ticks) -----------
     /** Address the EU will try to issue from next (IR.Next-PC). */
@@ -136,8 +124,7 @@ class CrispCpu
      * the machine simply freezes mid-program. This is how crispd
      * enforces per-job wall-clock deadlines and how crisptorture
      * --timeout-ms aborts hung seeds: the flag is typically a
-     * util::Watchdog timer armed by the caller. Retained across
-     * reset() like the trace sink and fault hooks.
+     * util::Watchdog timer armed by the caller.
      */
     void setCancelFlag(const std::atomic<bool>* flag);
 

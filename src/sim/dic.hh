@@ -32,7 +32,7 @@ class DecodedCache
     lookup(Addr pc) const
     {
         const Slot& s = entries_[index(pc)];
-        if (s.valid && s.epoch == epoch_ && s.di.pc == pc)
+        if (s.valid && s.di.pc == pc)
             return &s.di;
         return nullptr;
     }
@@ -43,25 +43,7 @@ class DecodedCache
     {
         Slot& s = entries_[index(di.pc)];
         s.valid = true;
-        s.epoch = epoch_;
         s.di = di;
-    }
-
-    /**
-     * Epoch-tagged lazy invalidation: bumping the epoch makes every
-     * slot's tag stale in O(1), so a replay reset never walks the
-     * table. The rare epoch wrap hard-clears once to keep ancient tags
-     * from aliasing.
-     */
-    void
-    invalidateAll()
-    {
-        if (++epoch_ == 0) {
-            for (Slot& s : entries_) {
-                s.valid = false;
-                s.epoch = 0;
-            }
-        }
     }
 
     int size() const { return static_cast<int>(entries_.size()); }
@@ -70,7 +52,6 @@ class DecodedCache
     struct Slot
     {
         bool valid = false;
-        std::uint32_t epoch = 0;
         DecodedInst di;
     };
 
@@ -89,7 +70,6 @@ class DecodedCache
     }
 
     std::vector<Slot> entries_;
-    std::uint32_t epoch_ = 0;
 };
 
 } // namespace crisp

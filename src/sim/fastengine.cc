@@ -184,59 +184,18 @@ FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
     }
     mem_.load(*prog_);
     ic_.assign(trans_->size(), IC{});
-    seedInlineCaches();
-    pc_ = prog_->entry;
-    sp_ = (prog_->memBytes - kWordBytes) & ~(kWordBytes - 1);
-    stats_.engine = EngineKind::kFast;
-}
-
-void
-FastEngine::seedInlineCaches()
-{
     // Pre-fill the monomorphic caches with the translation's likely
     // targets: a hint-conforming first execution hits immediately.
     // Sound for the same reason refills are — indexOf is a pure
-    // function of the (epoch-stable) translation.
+    // function of the translation.
     for (const auto& [idx, target] : trans_->icSeeds()) {
         IC& c = ic_[idx];
         c.valid = true;
         c.target = target;
         c.idx = trans_->indexOf(target);
     }
-}
-
-void
-FastEngine::flushInlineCaches()
-{
-    std::fill(ic_.begin(), ic_.end(), IC{});
-    seedInlineCaches();
-    ++icFlushes_;
-}
-
-void
-FastEngine::reset()
-{
-    // Query before revert: revert clears the very bits we test.
-    const bool text_dirty =
-        mem_.dirtyInRange(prog_->textBase, prog_->textEnd());
-    mem_.revert(*prog_);
-    if (text_dirty) {
-        // Translations derive from the immutable Program (never the
-        // image), so a rebuild provably reproduces the same table — a
-        // shared one can stay pinned. Owned ones are rebuilt to keep
-        // the defensive contract cheap to audit; either way the epoch
-        // bump and the inline-cache flush are observable.
-        if (ownedTrans_)
-            ownedTrans_->rebuild();
-        ++transEpoch_;
-        flushInlineCaches();
-    }
     pc_ = prog_->entry;
     sp_ = (prog_->memBytes - kWordBytes) & ~(kWordBytes - 1);
-    accum_ = 0;
-    flag_ = false;
-    halted_ = false;
-    stats_ = SimStats{};
     stats_.engine = EngineKind::kFast;
 }
 
@@ -323,8 +282,8 @@ FastEngine::runLoop(ExecObserver* observer)
 
     // Monomorphic inline cache consult for an indirect exit at *t:
     // last target and its pre-resolved index, refilled on miss. Sound
-    // because indexOf is a pure function of the (epoch-stable)
-    // translation — the caches are flushed whenever it changes.
+    // because indexOf is a pure function of the translation, which
+    // never changes under the engine.
     const auto resolve = [&](const TOp* t, Addr target) {
         IC& c = ic[t - ops];
         if (c.valid && c.target == target) {

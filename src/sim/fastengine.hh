@@ -28,19 +28,14 @@
  *    one run — bounded by kTraceCap);
  *  - SimConfig::maxCycles bounds the run — a functional engine has no
  *    cycles, so the limit is applied to apparent (architectural)
- *    instructions, checked at run boundaries;
- *  - MemoryImage dirty-line tracking powers reset(): if the program
- *    image's text window was dirtied, the revert also invalidates the
- *    translation (and every inline cache) so it can never describe
- *    stale bytes.
+ *    instructions, checked at run boundaries.
  *
- * Warm replay: a Translation built once (e.g. crispd's per
- * program-hash × policy registry entry) can be shared read-only across
- * engines and replays — the constructor then skips the program copy
- * and the whole translate/predecode pass, leaving only the memory
- * image load. reset() keeps the translation pinned whenever the text
- * window stayed clean, so a replay pays O(dirty memory) and nothing
- * else.
+ * Warm runs: a Translation built once (e.g. crispd's per program-hash
+ * × policy registry entry) can be shared read-only across engines —
+ * the constructor then skips the program copy and the whole
+ * translate/predecode pass, leaving only the memory image load. The
+ * translation derives from the Program, never the image, so a run
+ * that stores into its own text window cannot make it stale.
  *
  * Timing fields of SimStats stay zero; `engine` is kFast.
  */
@@ -104,18 +99,6 @@ class FastEngine
      */
     const SimStats& run(ExecObserver* observer = nullptr);
 
-    /**
-     * Return to the power-on state over the same program and config:
-     * dirty-line memory revert, statistics zeroed, and — if the text
-     * window of the image was written since the last reset — a
-     * translation invalidation (rebuild of an owned translation, inline
-     * caches flushed either way), so a reverted image can never execute
-     * through stale translations. Nothing is reallocated on the clean
-     * path; replay loops reuse one engine. The cancel flag is
-     * retained, like CrispCpu.
-     */
-    void reset();
-
     /** Cooperative cancellation flag (not owned; null clears). Polled
      *  every few thousand instructions at run boundaries; the run
      *  stops with SimStats::cancelled set and can be resumed by
@@ -139,26 +122,16 @@ class FastEngine
 
     const SimStats& stats() const { return stats_; }
 
-    /** Translation build count for *this engine* — bumped when reset()
-     *  invalidates after text-window writes (observable by the
-     *  self-modifying-image tests); starts at 1. */
-    std::uint64_t translationEpoch() const { return transEpoch_; }
-
     // Inline-cache telemetry (host-side, non-architectural) -----------
     /** Indirect-exit resolutions served by the monomorphic cache. */
     std::uint64_t icHits() const { return icHits_; }
     /** Indirect-exit resolutions that fell back to the full
      *  address-to-index lookup (and refilled the cache). */
     std::uint64_t icMisses() const { return icMisses_; }
-    /** Whole-cache flushes (translation invalidations). */
-    std::uint64_t icFlushes() const { return icFlushes_; }
 
   private:
     template <bool Observed>
     void runLoop(ExecObserver* observer);
-
-    void flushInlineCaches();
-    void seedInlineCaches();
 
     /** Monomorphic inline cache: last resolved target of an indirect
      *  exit and its table index (kNoIdx = leaves text, also cached). */
@@ -186,10 +159,8 @@ class FastEngine
     bool flag_ = false;
     bool halted_ = false;
 
-    std::uint64_t transEpoch_ = 1;
     std::uint64_t icHits_ = 0;
     std::uint64_t icMisses_ = 0;
-    std::uint64_t icFlushes_ = 0;
 
     /** Same poll cadence as CrispCpu's cycle loop. */
     static constexpr int kCancelCheckInterval = 4096;

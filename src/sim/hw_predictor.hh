@@ -30,8 +30,8 @@ class HwPredictor
   public:
     HwPredictor(PredictorKind kind, int entries)
         : kind_(kind),
-          powerOn_(kind == PredictorKind::kDynamic2 ? 2 : 1),
-          table_(checkedEntries(kind, entries), Slot{powerOn_, 0})
+          table_(checkedEntries(kind, entries),
+                 kind == PredictorKind::kDynamic2 ? 2 : 1)
     {}
 
     /**
@@ -45,9 +45,9 @@ class HwPredictor
           case PredictorKind::kStaticBit:
             return static_bit;
           case PredictorKind::kDynamic1:
-            return counter(branch_pc) >= 1;
+            return table_[index(branch_pc)] >= 1;
           case PredictorKind::kDynamic2:
-            return counter(branch_pc) >= 2;
+            return table_[index(branch_pc)] >= 2;
         }
         return static_bit;
     }
@@ -58,38 +58,15 @@ class HwPredictor
     {
         if (kind_ == PredictorKind::kStaticBit)
             return;
-        Slot& s = table_[index(branch_pc)];
-        if (s.epoch != epoch_) {
-            // First touch since reset(): the slot logically holds its
-            // power-on value (lazy invalidation).
-            s.epoch = epoch_;
-            s.c = powerOn_;
-        }
+        std::uint8_t& c = table_[index(branch_pc)];
         if (kind_ == PredictorKind::kDynamic1) {
-            s.c = taken ? 1 : 0;
+            c = taken ? 1 : 0;
             return;
         }
         if (taken)
-            s.c = s.c < 3 ? s.c + 1 : 3;
+            c = c < 3 ? c + 1 : 3;
         else
-            s.c = s.c > 0 ? s.c - 1 : 0;
-    }
-
-    /**
-     * Restore every counter to its power-on value (weakly taken) —
-     * epoch-tagged lazy invalidation: O(1) per reset instead of
-     * rewriting the whole table, with a hard clear on the (rare)
-     * epoch wrap so stale tags can never alias.
-     */
-    void
-    reset()
-    {
-        if (++epoch_ == 0) {
-            for (Slot& s : table_) {
-                s.c = powerOn_;
-                s.epoch = 0;
-            }
-        }
+            c = c > 0 ? c - 1 : 0;
     }
 
   private:
@@ -109,26 +86,9 @@ class HwPredictor
         return (pc / kParcelBytes) & (table_.size() - 1);
     }
 
-    /** The slot's counter, seen through the epoch tag: a stale tag
-     *  means the slot still holds its pre-reset training and reads as
-     *  the power-on value. */
-    int
-    counter(Addr pc) const
-    {
-        const Slot& s = table_[index(pc)];
-        return s.epoch == epoch_ ? s.c : powerOn_;
-    }
-
-    struct Slot
-    {
-        int c;
-        std::uint32_t epoch;
-    };
-
     PredictorKind kind_;
-    int powerOn_;
-    std::vector<Slot> table_;
-    std::uint32_t epoch_ = 0;
+    /** One saturating counter per slot, powered on weakly taken. */
+    std::vector<std::uint8_t> table_;
 };
 
 } // namespace crisp

@@ -65,16 +65,6 @@ class Pdu
     /** Install fault-injection hooks (applied at DIC fill time). */
     void setFaultHooks(FaultHooks* hooks) { hooks_ = hooks; }
 
-    /** Power-on state: empty queue, latches, and memory port, stream
-     *  redirected to the program entry. Allocation-free. */
-    void
-    reset()
-    {
-        memBusy_ = false;
-        pirValid_ = false;
-        redirect(prog_.entry);
-    }
-
     /**
      * If every PDU stage is provably idle until the in-flight memory
      * fetch lands — the PIR latch is empty, the PDR stage is gated

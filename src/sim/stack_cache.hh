@@ -46,13 +46,6 @@ class StackCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    void
-    reset()
-    {
-        hits_ = 0;
-        misses_ = 0;
-    }
-
   private:
     Addr words_;
     std::uint64_t hits_ = 0;

@@ -159,7 +159,7 @@ struct SimStats
     /**
      * Bitwise-exact equality over every counter, flag and the fault
      * string. The replay tests (tests/test_perf_paths.cc) use it to pin
-     * reset() and shared predecode tables to a fresh machine.
+     * runs over shared predecode tables to runs over private ones.
      */
     bool operator==(const SimStats&) const = default;
 

@@ -85,28 +85,13 @@ Translation::Translation(const Program& prog, FoldPolicy policy,
         ownedPredecode_ = std::make_unique<PredecodeCache>(prog);
         predecode_ = ownedPredecode_.get();
     }
-    build();
-}
-
-void
-Translation::rebuild()
-{
-    build();
-}
-
-void
-Translation::build()
-{
     ops_.assign(prog_.text.size(), TOp{});
-    trapMsgs_.clear();
-    icSeeds_.clear();
     for (std::size_t i = 0; i < ops_.size(); ++i) {
         translateAt(ops_[i],
                     textBase_ + static_cast<Addr>(i) * kParcelBytes);
     }
     predictIndirects();
     linkSuccessors();
-    ++epoch_;
 }
 
 void

@@ -224,17 +224,6 @@ class Translation
         return trapMsgs_[idx];
     }
 
-    /**
-     * Drop and re-derive every translated op (e.g. after a memory-image
-     * revert undid stores into the text window — the translation must
-     * provably describe the restored image, never the dirtied one).
-     * Bumps epoch() so tests can observe the invalidation.
-     */
-    void rebuild();
-
-    /** Incremented on every (re)build; starts at 1. */
-    std::uint64_t epoch() const { return epoch_; }
-
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
 
@@ -251,7 +240,6 @@ class Translation
     }
 
   private:
-    void build();
     void translateAt(TOp& t, Addr pc);
     void lowerDecoded(TOp& t, const DecodedInst& di);
     void lowerRaw(TOp& t, Addr pc, const Instruction& inst);
@@ -269,7 +257,6 @@ class Translation
     std::vector<TOp> ops_;
     std::vector<std::string> trapMsgs_;
     std::vector<std::pair<std::uint32_t, Addr>> icSeeds_;
-    std::uint64_t epoch_ = 0;
 };
 
 } // namespace crisp

@@ -8,9 +8,8 @@
 #include <sstream>
 #include <vector>
 
-#include "eventstream.hh"
-#include "interp/interpreter.hh"
 #include "isa/program.hh"
+#include "reference.hh"
 #include "sim/cpu.hh"
 
 namespace crisp::verify
@@ -34,8 +33,8 @@ divergenceName(Divergence d)
         return "dic-corruption-detected";
       case Divergence::kCycleLimit:
         return "cycle-limit";
-      case Divergence::kGeneratorNonTerminating:
-        return "generator-non-terminating";
+      case Divergence::kReferenceStepLimit:
+        return "reference-step-limit";
       case Divergence::kTimeout:
         return "timeout";
     }
@@ -68,20 +67,20 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
 {
     LockstepReport rep;
 
-    Interpreter interp(prog);
-    RefRecorder ref;
-    const InterpResult ires = interp.run(opt.maxSteps, &ref);
-    rep.refInstructions = ires.instructions;
-    if (!ires.halted) {
-        rep.kind = Divergence::kGeneratorNonTerminating;
-        rep.detail = "reference interpreter hit the step limit";
+    Reference ref(prog);
+    if (!runReference(ref, opt.maxSteps, rep))
         return rep;
+    if (ref.faulted) {
+        // This runner checks only programs the interpreter runs to a
+        // halt: the fault reaches the caller as the interpreter
+        // raised it.
+        throw CrispError(ref.faultReason);
     }
 
     SimConfig cfg = opt.cfg;
     const std::uint64_t budget =
         opt.cycleBudget != 0 ? opt.cycleBudget
-                             : ires.instructions * 48 + 50'000;
+                             : rep.refInstructions * 48 + 50'000;
     cfg.maxCycles = budget;
 
     CrispCpu cpu(prog, cfg);
@@ -89,19 +88,17 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
         cpu.setFaultHooks(opt.hooks);
     if (opt.cancel != nullptr)
         cpu.setCancelFlag(opt.cancel);
-    CheckingObserver obs(ref.events);
+    const std::vector<Ev>& events = ref.recorder.events;
+    CheckingObserver obs(events);
     while (cpu.tick(&obs)) {
         if (obs.mismatch || cpu.stats().cycles >= budget)
             break;
     }
     rep.sim = cpu.stats();
 
-    std::ostringstream ctx;
-    ctx << " [sim: accum=" << cpu.accum()
-        << " flag=" << (cpu.flag() ? 1 : 0) << " sp=0x" << std::hex
-        << cpu.sp() << std::dec << " next-pc=0x" << std::hex
-        << cpu.nextIssuePc() << std::dec << "]";
-
+    const EngineState state{"sim",         cpu.accum(), cpu.flag(),
+                            cpu.sp(),      cpu.nextIssuePc(),
+                            cpu.memory()};
     if (rep.sim.dicCorruption) {
         rep.kind = Divergence::kDicCorruptionDetected;
         rep.detail = rep.sim.faultReason;
@@ -115,67 +112,34 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
     if (obs.mismatch) {
         rep.kind = Divergence::kEventMismatch;
         rep.eventIndex = obs.index;
-        rep.detail = obs.detail + ctx.str();
+        rep.detail = obs.detail + state.context();
         return rep;
     }
     if (rep.sim.cancelled) {
         rep.kind = Divergence::kTimeout;
         rep.detail = "wall-clock watchdog cancelled the pipeline run" +
-                     ctx.str();
+                     state.context();
         return rep;
     }
     if (!cpu.halted()) {
         rep.kind = Divergence::kCycleLimit;
         rep.detail = "pipeline did not halt within " +
-                     std::to_string(budget) + " cycles" + ctx.str();
+                     std::to_string(budget) + " cycles" +
+                     state.context();
         return rep;
     }
-    if (obs.index != ref.events.size()) {
+    if (obs.index != events.size()) {
         rep.kind = Divergence::kEventCountMismatch;
         rep.eventIndex = obs.index;
         rep.detail = "pipeline halted after " +
                      std::to_string(obs.index) + " of " +
-                     std::to_string(ref.events.size()) +
-                     " reference events" + ctx.str();
+                     std::to_string(events.size()) +
+                     " reference events" + state.context();
         return rep;
     }
 
     // Streams agree; verify final architectural state.
-    std::ostringstream diff;
-    if (cpu.accum() != interp.accum()) {
-        diff << "accum " << cpu.accum() << " != " << interp.accum()
-             << "; ";
-    }
-    if (cpu.flag() != interp.flag())
-        diff << "flag " << cpu.flag() << " != " << interp.flag() << "; ";
-    if (cpu.sp() != interp.sp()) {
-        diff << "sp 0x" << std::hex << cpu.sp() << " != 0x"
-             << interp.sp() << std::dec << "; ";
-    }
-    if (rep.sim.apparent != ires.instructions) {
-        diff << "apparent " << rep.sim.apparent
-             << " != " << ires.instructions << "; ";
-    }
-    const auto& ms = cpu.memory().bytes();
-    const auto& mi = interp.memory().bytes();
-    if (ms.size() != mi.size()) {
-        diff << "memory size " << ms.size() << " != " << mi.size()
-             << "; ";
-    } else {
-        for (std::size_t a = 0; a < ms.size(); ++a) {
-            if (ms[a] != mi[a]) {
-                diff << "memory[0x" << std::hex << a << "] 0x"
-                     << static_cast<int>(ms[a]) << " != 0x"
-                     << static_cast<int>(mi[a]) << std::dec << "; ";
-                break;
-            }
-        }
-    }
-    const std::string d = diff.str();
-    if (!d.empty()) {
-        rep.kind = Divergence::kFinalStateMismatch;
-        rep.detail = d + ctx.str();
-    }
+    checkFinalState(ref, state, "", rep);
     return rep;
 }
 

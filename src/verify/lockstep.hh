@@ -50,8 +50,11 @@ enum class Divergence : std::uint8_t {
     kDicCorruptionDetected,
     /** The pipeline burned the cycle budget without halting. */
     kCycleLimit,
-    /** The reference interpreter itself did not halt (generator bug). */
-    kGeneratorNonTerminating,
+    /** The reference interpreter did not halt within
+     *  LockstepOptions::maxSteps; the engine was not run. A correct
+     *  program longer than the limit lands here too (the shipped dhry
+     *  workload needs about 1.2M steps). */
+    kReferenceStepLimit,
     /** The wall-clock watchdog cancelled the pipeline run
      *  (LockstepOptions::cancel, crisptorture --timeout-ms). */
     kTimeout,

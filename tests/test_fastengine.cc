@@ -3,8 +3,8 @@
  * FastEngine tests: the 200-seed x 3-policy three-way differential
  * (fast engine vs. interpreter vs. cycle pipeline), translation-layer
  * superblock structure, and directed tests for the engine's contracts —
- * cancel at superblock boundaries, reset-replay equals a fresh run,
- * self-modifying-image invalidation, and the instruction budget.
+ * cancel at superblock boundaries, stores into the text window, shared
+ * translations, and the instruction budget.
  */
 
 #include <gtest/gtest.h>
@@ -185,15 +185,6 @@ TEST(Translation, SuperblockChainsCoverStraightLineRuns)
     EXPECT_EQ(none.ops()[none.entryIndex()].trace, 3u);
 }
 
-TEST(Translation, RebuildBumpsEpoch)
-{
-    const Program p = countingLoop(5);
-    Translation tr(p, FoldPolicy::kCrisp);
-    EXPECT_EQ(tr.epoch(), 1u);
-    tr.rebuild();
-    EXPECT_EQ(tr.epoch(), 2u);
-}
-
 // --------------------------------------------------- directed: cancel
 
 TEST(FastEngine, CancelStopsAtSuperblockBoundaryAndResumes)
@@ -243,65 +234,64 @@ TEST(FastEngine, InstructionBudgetSetsTimedOut)
     EXPECT_LT(eng.stats().apparent, 5'000u + 8'192u);
 }
 
-// ---------------------------------------------- directed: reset/replay
+// ------------------------------------- directed: stores into text
 
-TEST(FastEngine, ResetReplayEqualsFreshRun)
+TEST(FastEngine, StoreIntoTextMatchesOnEveryEngine)
 {
-    for (std::uint64_t seed = 700; seed < 710; ++seed) {
-        const Program prog = verify::generate(seed).link();
-        FastEngine fresh(prog);
-        fresh.run();
-
-        FastEngine replay(prog);
-        replay.run();
-        replay.reset();
-        EXPECT_FALSE(replay.halted());
-        EXPECT_EQ(replay.stats().apparent, 0u);
-        replay.run();
-
-        EXPECT_EQ(replay.stats(), fresh.stats()) << "seed " << seed;
-        EXPECT_EQ(replay.accum(), fresh.accum());
-        EXPECT_EQ(replay.flag(), fresh.flag());
-        EXPECT_EQ(replay.sp(), fresh.sp());
-        EXPECT_EQ(replay.memory().bytes(), fresh.memory().bytes());
-    }
-}
-
-// ------------------------------------- directed: self-modifying image
-
-TEST(FastEngine, ImageRevertDropsStaleTranslations)
-{
-    // The program stores into its own text window. Program text is
-    // immutable for execution on every engine (fetch reads the linked
-    // image, not data memory), but the memory image is dirtied — and a
-    // reset's revert must rebuild the translation so it provably
-    // derives from the restored bytes, never the dirtied ones.
+    // The program stores into its own first text word, then loops over
+    // later text. Execution fetches the linked program, never the
+    // image, so the store changes memory and nothing else: the
+    // interpreter, a fresh cycle machine, a fresh private engine and
+    // an engine borrowing a shared translation that already ran the
+    // program must agree on every count and byte.
     Program p;
     p.append(Instruction::mov(Operand::abs(kTextBase),
                               Operand::imm(0x1234)));
+    const Operand counter = Operand::abs(kDataBase);
+    p.append(Instruction::mov(counter, Operand::imm(0)));
+    const Addr loop = p.append(
+        Instruction::alu(Opcode::kAdd, counter, Operand::imm(1)));
+    p.append(Instruction::cmp(Opcode::kCmpLt, counter, Operand::imm(5)));
+    const Addr br = p.textEnd();
+    p.append(Instruction::branchRel(
+        Opcode::kIfTJmp, static_cast<std::int32_t>(loop - br), true));
     p.append(Instruction::halt());
 
-    FastEngine eng(p);
-    EXPECT_EQ(eng.translationEpoch(), 1u);
-    eng.run();
-    ASSERT_TRUE(eng.halted());
-    eng.reset();
-    EXPECT_EQ(eng.translationEpoch(), 2u)
-        << "text-window store must invalidate the translation";
-    eng.run();
-    ASSERT_TRUE(eng.halted());
+    Interpreter interp(p);
+    const InterpResult ir = interp.run();
+    ASSERT_TRUE(ir.halted);
+    EXPECT_EQ(ir.instructions, 18u);
+    EXPECT_EQ(interp.memory().read32(kTextBase), 0x1234u);
 
-    FastEngine fresh(p);
-    fresh.run();
-    EXPECT_EQ(eng.stats(), fresh.stats());
-    EXPECT_EQ(eng.memory().bytes(), fresh.memory().bytes());
+    CrispCpu cpu(p);
+    cpu.run();
+    ASSERT_TRUE(cpu.halted());
+    EXPECT_EQ(cpu.stats().apparent, ir.instructions);
+    EXPECT_EQ(cpu.accum(), interp.accum());
+    EXPECT_EQ(cpu.flag(), interp.flag());
+    EXPECT_EQ(cpu.sp(), interp.sp());
+    EXPECT_EQ(cpu.memory().bytes(), interp.memory().bytes());
 
-    // A program that never touches its text keeps its translation.
-    const Program clean = countingLoop(10);
-    FastEngine keep(clean);
-    keep.run();
-    keep.reset();
-    EXPECT_EQ(keep.translationEpoch(), 1u);
+    FastEngine priv(p);
+    priv.run();
+    ASSERT_TRUE(priv.halted());
+
+    const Translation warm(p, FoldPolicy::kCrisp);
+    FastEngine first(p, SimConfig{}, nullptr, &warm);
+    first.run();
+    FastEngine shared(p, SimConfig{}, nullptr, &warm);
+    shared.run();
+    ASSERT_TRUE(shared.halted());
+
+    for (const FastEngine* eng : {&priv, &first, &shared}) {
+        EXPECT_EQ(eng->stats().apparent, ir.instructions);
+        EXPECT_EQ(eng->stats().opcodeCounts, ir.opcodeCounts);
+        EXPECT_EQ(eng->accum(), interp.accum());
+        EXPECT_EQ(eng->flag(), interp.flag());
+        EXPECT_EQ(eng->sp(), interp.sp());
+        EXPECT_EQ(eng->memory().bytes(), interp.memory().bytes());
+    }
+    EXPECT_EQ(shared.stats(), priv.stats());
 }
 
 // ---------------------------------------- directed: straight-line runs
@@ -541,56 +531,11 @@ TEST(FastEngine, ReturnInlineCacheHitsOnLoopBackEdge)
     // counters are non-architectural, so they must not perturb stats.
     EXPECT_EQ(eng.icMisses(), 1u);
     EXPECT_EQ(eng.icHits(), static_cast<std::uint64_t>(limit) - 1);
-    EXPECT_EQ(eng.icFlushes(), 0u);
 
     Interpreter interp(prog);
     const InterpResult ir = interp.run();
     EXPECT_EQ(eng.stats().apparent, ir.instructions);
     EXPECT_EQ(eng.accum(), interp.accum());
-}
-
-TEST(FastEngine, TextDirtyResetFlushesInlineCaches)
-{
-    // Store into the text window, then loop through a call so the IC
-    // is hot when reset hits. The reset must flush (stale indices may
-    // not survive a rebuild) and the replay re-earns its hits.
-    Program p;
-    const Addr jmp_at = p.textEnd();
-    p.append(Instruction::branchRel(Opcode::kJmp, 4));
-    const Addr leaf = p.textEnd();
-    p.append(Instruction::ret(0));
-    EXPECT_EQ(p.textEnd(), jmp_at + 4);
-    p.append(Instruction::mov(Operand::abs(kTextBase),
-                              Operand::imm(0x5151)));
-    const Operand counter = Operand::abs(kDataBase);
-    p.append(Instruction::mov(counter, Operand::imm(0)));
-    const Addr loop = p.textEnd();
-    p.append(Instruction::branchFar(Opcode::kCall, BranchMode::kAbs,
-                                    leaf));
-    p.append(Instruction::alu(Opcode::kAdd, counter, Operand::imm(1)));
-    p.append(Instruction::cmp(Opcode::kCmpLt, counter,
-                              Operand::imm(50)));
-    const Addr br = p.textEnd();
-    p.append(Instruction::branchRel(
-        Opcode::kIfTJmp, static_cast<std::int32_t>(loop - br), true));
-    p.append(Instruction::halt());
-
-    FastEngine eng(p);
-    eng.run();
-    ASSERT_TRUE(eng.halted());
-    const std::uint64_t first_hits = eng.icHits();
-    EXPECT_GT(first_hits, 0u);
-    EXPECT_EQ(eng.icFlushes(), 0u);
-
-    eng.reset();
-    EXPECT_EQ(eng.icFlushes(), 1u);
-    EXPECT_EQ(eng.translationEpoch(), 2u);
-    eng.run();
-    ASSERT_TRUE(eng.halted());
-    // The replay misses once more (the flush emptied the cache), then
-    // hits at the same rate.
-    EXPECT_EQ(eng.icMisses(), 2u);
-    EXPECT_EQ(eng.icHits(), 2 * first_hits);
 }
 
 // ------------------------------------- directed: shared translations
@@ -603,13 +548,9 @@ TEST(FastEngine, SharedTranslationMatchesPrivateAcrossReplays)
         const Translation warm(prog, FoldPolicy::kCrisp, &shared);
 
         SimConfig cfg;
-        FastEngine warm_eng(prog, cfg, &shared, &warm);
-        FastEngine cold_eng(prog, cfg);
         for (int r = 0; r < 3; ++r) {
-            if (r != 0) {
-                warm_eng.reset();
-                cold_eng.reset();
-            }
+            FastEngine warm_eng(prog, cfg, &shared, &warm);
+            FastEngine cold_eng(prog, cfg);
             warm_eng.run();
             cold_eng.run();
             EXPECT_EQ(warm_eng.stats(), cold_eng.stats())
@@ -628,32 +569,6 @@ TEST(FastEngine, SharedTranslationRejectsMismatchedConfig)
     SimConfig cfg;
     cfg.foldPolicy = FoldPolicy::kAll;
     EXPECT_THROW(FastEngine(prog, cfg, nullptr, &warm), CrispError);
-}
-
-TEST(FastEngine, SharedTranslationStaysPinnedAcrossTextDirtyReset)
-{
-    // Text-dirty replays on a shared translation: the shared table is
-    // immutable (it derives from the Program, not the image), so the
-    // engine keeps borrowing it — only the epoch and the inline caches
-    // react. Results must still match a fresh private engine exactly.
-    Program p;
-    p.append(Instruction::mov(Operand::abs(kTextBase),
-                              Operand::imm(0x2222)));
-    p.append(Instruction::mov(Operand::accum(), Operand::imm(9)));
-    p.append(Instruction::halt());
-
-    const Translation warm(p, FoldPolicy::kCrisp);
-    FastEngine eng(p, SimConfig{}, nullptr, &warm);
-    eng.run();
-    eng.reset();
-    EXPECT_EQ(eng.translationEpoch(), 2u);
-    eng.run();
-    ASSERT_TRUE(eng.halted());
-
-    FastEngine fresh(p);
-    fresh.run();
-    EXPECT_EQ(eng.stats(), fresh.stats());
-    EXPECT_EQ(eng.memory().bytes(), fresh.memory().bytes());
 }
 
 // --------------------------------------------------------- misc state

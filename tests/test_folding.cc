@@ -231,9 +231,6 @@ TEST(Dic, FillLookupAndConflicts)
     dic.fill(b); // evicts a (direct mapped)
     EXPECT_EQ(dic.lookup(a.pc), nullptr);
     ASSERT_NE(dic.lookup(b.pc), nullptr);
-
-    dic.invalidateAll();
-    EXPECT_EQ(dic.lookup(b.pc), nullptr);
 }
 
 TEST(Dic, DistinctEntriesForOddAlignment)

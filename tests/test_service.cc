@@ -418,22 +418,6 @@ s:      jmp s
     EXPECT_LE(st.cycles, 5000u); // one poll interval, not the budget
 }
 
-TEST(Cancellation, ResetClearsCancelledAndRunsAgain)
-{
-    const Program prog = loadObject(countedImage(50));
-    CrispCpu cpu(prog);
-    std::atomic<bool> flag{true};
-    cpu.setCancelFlag(&flag);
-    (void)cpu.run();
-    // A pre-fired flag may or may not outrace this short program; what
-    // matters is that reset + cleared flag always completes.
-    flag = false;
-    cpu.reset();
-    const SimStats& st2 = cpu.run();
-    EXPECT_TRUE(st2.halted);
-    EXPECT_FALSE(st2.cancelled);
-}
-
 TEST(Cancellation, LockstepReportsTimeoutKind)
 {
     // Halts on the reference interpreter (so lockstep reaches the

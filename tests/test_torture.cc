@@ -3,7 +3,7 @@
  * Torture-subsystem tests: generator determinism and coverage, the
  * lockstep differential runner over a large seed sweep, every
  * fault-injection hook (benign hints vs. detected corruption), the
- * cycle-limit watchdog, and the delta-debugging shrinker.
+ * cycle- and step-limit watchdogs, and the delta-debugging shrinker.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +12,14 @@
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "cc/compiler.hh"
 #include "sim/cpu.hh"
+#include "verify/enginediff.hh"
 #include "verify/faults.hh"
 #include "verify/generator.hh"
 #include "verify/lockstep.hh"
 #include "verify/shrink.hh"
+#include "workloads/workloads.hh"
 
 namespace crisp
 {
@@ -360,6 +363,35 @@ TEST(Watchdog, LockstepClassifiesNonHaltingPipelineAsCycleLimit)
     opt.cycleBudget = 3;
     const LockstepReport rep = verify::runLockstep(p, opt);
     EXPECT_EQ(rep.kind, Divergence::kCycleLimit) << rep.toString();
+}
+
+TEST(Watchdog, StepLimitVerdictNamesTheLimitOnBothRunners)
+{
+    // dhry is a correct program that needs about 1.2M reference steps:
+    // the default limit of 1M stops the reference run, and the verdict
+    // says so instead of blaming a generator.
+    const Program p = cc::compile(workload("dhry").source).program;
+    for (const bool fast : {false, true}) {
+        const auto run = [&](const LockstepOptions& opt) {
+            return fast ? verify::runFastLockstep(p, opt)
+                        : verify::runLockstep(p, opt);
+        };
+        const LockstepReport capped = run(LockstepOptions{});
+        EXPECT_EQ(capped.kind, Divergence::kReferenceStepLimit)
+            << capped.toString();
+        EXPECT_EQ(capped.detail, "reference interpreter did not halt "
+                                 "within 1000000 steps");
+        EXPECT_EQ(verify::divergenceName(capped.kind),
+                  "reference-step-limit");
+        EXPECT_EQ(capped.sim.apparent, 0u) << "the engine must not run";
+
+        LockstepOptions opt;
+        opt.maxSteps = 200'000'000;
+        const LockstepReport full = run(opt);
+        EXPECT_TRUE(full.ok()) << (fast ? "fast: " : "cycle: ")
+                               << full.toString();
+        EXPECT_GT(full.refInstructions, 1'000'000u);
+    }
 }
 
 // ------------------------------------------------------------ shrinker
