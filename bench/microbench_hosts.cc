@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
+#include "analysis/checks.hh"
 #include "asm/assembler.hh"
 #include "baseline/delayed.hh"
 #include "isa/objfile.hh"
@@ -153,6 +156,34 @@ BM_ObjectRoundTrip(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ObjectRoundTrip);
+
+/** The full static analysis crisplint runs, per issue point (ROADMAP
+ *  item 1's target is at most 50 µs on every workload). */
+void
+BM_AnalyzeProgram(benchmark::State& state, const std::string& name)
+{
+    const Program prog = cc::compile(workload(name).source).program;
+    double points = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        const analysis::AnalysisResult r = analysis::analyzeProgram(prog);
+        points = static_cast<double>(r.cfg->nodes().size());
+        benchmark::DoNotOptimize(r.diags.data());
+    }
+    const std::chrono::duration<double, std::micro> us =
+        std::chrono::steady_clock::now() - start;
+    state.counters["us_per_issue_point"] =
+        us.count() / (points * static_cast<double>(state.iterations()));
+}
+
+const bool kAnalyzeProgramRegistered = [] {
+    for (const Workload& w : allWorkloads()) {
+        benchmark::RegisterBenchmark(
+            ("BM_AnalyzeProgram/" + w.name).c_str(), BM_AnalyzeProgram,
+            w.name);
+    }
+    return true;
+}();
 
 } // namespace
 

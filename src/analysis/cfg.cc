@@ -42,6 +42,7 @@ Cfg::Cfg(const Program& prog, FoldPolicy policy)
 {
     discover();
     buildBlocks();
+    number();
 }
 
 std::vector<Addr>
@@ -236,6 +237,32 @@ Cfg::buildBlocks()
             blocks_[static_cast<std::size_t>(s)].preds.push_back(
                 static_cast<int>(i));
     }
+}
+
+void
+Cfg::number()
+{
+    // Every node sits on a parcel of the text segment, so the edge
+    // lists below look their numbers up by parcel index.
+    std::vector<std::uint32_t> by_parcel(prog_.text.size());
+    const auto parcel = [&](Addr pc) {
+        return (pc - prog_.textBase) / kParcelBytes;
+    };
+    for (const auto& [pc, n] : nodes_) {
+        by_parcel.at(parcel(pc)) = static_cast<std::uint32_t>(addrs_.size());
+        addrs_.push_back(pc);
+        numbered_.push_back(&n);
+    }
+    const auto fill = [&](Rows& rows, std::vector<Addr> CfgNode::*list) {
+        for (const CfgNode* n : numbered_) {
+            for (const Addr a : n->*list)
+                rows.numbers.push_back(by_parcel[parcel(a)]);
+            rows.offsets.push_back(
+                static_cast<std::uint32_t>(rows.numbers.size()));
+        }
+    };
+    fill(succNums_, &CfgNode::succs);
+    fill(predNums_, &CfgNode::preds);
 }
 
 std::vector<std::pair<Addr, Addr>>

@@ -27,8 +27,11 @@
 #ifndef CRISP_ANALYSIS_CFG_HH
 #define CRISP_ANALYSIS_CFG_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +83,11 @@ class Cfg
      */
     Cfg(const Program& prog, FoldPolicy policy);
 
+    // The node numbering points into nodes(); a copy would point into
+    // the original.
+    Cfg(const Cfg&) = delete;
+    Cfg& operator=(const Cfg&) = delete;
+
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
 
@@ -94,6 +102,42 @@ class Cfg
 
     /** All reachable issue points, ordered by address. */
     const std::map<Addr, CfgNode>& nodes() const { return nodes_; }
+
+    /**
+     * The node numbering, fixed when the Cfg is built: nodes() in
+     * address order are numbered 0 to nodes().size() - 1, and each
+     * number keeps its node's successor and predecessor numbers
+     * beside the address lists. The fixpoint solver runs over these.
+     * @p pc must satisfy has(pc).
+     */
+    std::uint32_t
+    numberOf(Addr pc) const
+    {
+        return static_cast<std::uint32_t>(
+            std::lower_bound(addrs_.begin(), addrs_.end(), pc) -
+            addrs_.begin());
+    }
+
+    Addr addressOf(std::uint32_t i) const { return addrs_[i]; }
+
+    const CfgNode&
+    nodeNumbered(std::uint32_t i) const
+    {
+        return *numbered_[i];
+    }
+
+    /** Numbers of node @p i's succs and preds, in the same order. */
+    std::span<const std::uint32_t>
+    succNumbers(std::uint32_t i) const
+    {
+        return succNums_.row(i);
+    }
+
+    std::span<const std::uint32_t>
+    predNumbers(std::uint32_t i) const
+    {
+        return predNums_.row(i);
+    }
 
     const std::vector<CfgBlock>& blocks() const { return blocks_; }
 
@@ -137,13 +181,33 @@ class Cfg
     std::string toDot() const;
 
   private:
+    /** Lists in compressed sparse rows: row i is
+     *  numbers[offsets[i], offsets[i + 1]). */
+    struct Rows
+    {
+        std::vector<std::uint32_t> offsets{0};
+        std::vector<std::uint32_t> numbers;
+
+        std::span<const std::uint32_t>
+        row(std::uint32_t i) const
+        {
+            return {numbers.data() + offsets[i],
+                    numbers.data() + offsets[i + 1]};
+        }
+    };
+
     void discover();
     void buildBlocks();
+    void number();
     std::vector<Addr> successorsOf(const DecodedInst& di, Addr pc);
 
     Program prog_;
     FoldPolicy policy_;
     std::map<Addr, CfgNode> nodes_;
+    std::vector<Addr> addrs_;
+    std::vector<const CfgNode*> numbered_;
+    Rows succNums_;
+    Rows predNums_;
     std::vector<CfgBlock> blocks_;
     std::set<Addr> indTargets_;
     bool hasIndirect_ = false;

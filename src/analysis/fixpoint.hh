@@ -43,7 +43,8 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "cfg.hh"
 #include "flat.hh"
@@ -94,31 +95,42 @@ solveFixpoint(const Cfg& cfg, const Policy& p,
 {
     using State = typename Policy::State;
     constexpr bool kForward = Policy::kDirection == Direction::kForward;
-    // The joined side of a node, and the side its transfer produces.
-    auto& head = kForward ? in : out;
-    auto& tail = kForward ? out : in;
 
+    // Per node number (Cfg::numberOf): its joined side and the side
+    // its transfer produces, as pointers into the result maps. The maps
+    // are filled once, in number order, and a map node never moves.
     FixpointRun run;
     in.clear();
     out.clear();
-    std::deque<Addr> work;
+    const auto count = static_cast<std::uint32_t>(cfg.nodes().size());
+    std::vector<State*> head;
+    std::vector<State*> tail;
+    head.reserve(count);
+    tail.reserve(count);
     for (const auto& [pc, n] : cfg.nodes()) {
-        in.emplace(pc, State{});
-        out.emplace(pc, State{});
-        if (!kForward)
-            work.push_front(pc);
+        State& in_slot = in.emplace_hint(in.end(), pc, State{})->second;
+        State& out_slot = out.emplace_hint(out.end(), pc, State{})->second;
+        head.push_back(kForward ? &in_slot : &out_slot);
+        tail.push_back(kForward ? &out_slot : &in_slot);
     }
-    const Addr entry = cfg.program().entry;
-    if (kForward && cfg.has(entry))
-        work.push_back(entry);
-    std::set<Addr> queued(work.begin(), work.end());
-    std::map<Addr, int> joins;
 
-    if (step_cap == 0) {
-        step_cap = static_cast<std::uint64_t>(cfg.nodes().size()) *
-                       kAbsintStepsPerNode +
-                   256;
+    std::deque<std::uint32_t> work;
+    const Addr entry_pc = cfg.program().entry;
+    const std::uint32_t entry =
+        cfg.has(entry_pc) ? cfg.numberOf(entry_pc) : count;
+    if (!kForward) {
+        for (std::uint32_t i = count; i-- > 0;)
+            work.push_back(i);
+    } else if (entry != count) {
+        work.push_back(entry);
     }
+    std::vector<bool> queued(count, false);
+    for (const std::uint32_t i : work)
+        queued[i] = true;
+    std::vector<int> joins(count, 0);
+
+    if (step_cap == 0)
+        step_cap = std::uint64_t{count} * kAbsintStepsPerNode + 256;
 
     while (!work.empty()) {
         if (++run.steps > step_cap) {
@@ -130,45 +142,63 @@ solveFixpoint(const Cfg& cfg, const Policy& p,
             return run;
         }
 
-        const Addr pc = work.front();
+        const std::uint32_t i = work.front();
         work.pop_front();
-        queued.erase(pc);
-        const CfgNode& n = cfg.node(pc);
+        queued[i] = false;
+        const CfgNode& n = cfg.nodeNumbered(i);
         if constexpr (!kForward) {
             if (!p.executes(n))
                 continue;
         }
 
-        const auto& sources = kForward ? n.preds : n.succs;
-        const bool at_boundary = kForward ? pc == entry : sources.empty();
+        const auto sources = kForward ? cfg.predNumbers(i)
+                                      : cfg.succNumbers(i);
+        const bool at_boundary = kForward ? i == entry : sources.empty();
+        // State{} is the identity of join, so the first incoming state
+        // is taken as it is.
         State j = at_boundary ? p.boundary() : State{};
-        for (const Addr s : sources) {
-            const State& src = tail.at(s);
-            if constexpr (requires { p.edge(n, src, pc); }) {
-                const std::optional<State> e = p.edge(cfg.node(s), src, pc);
-                j = p.join(j, e ? *e : src);
+        bool bottom = !at_boundary;
+        const auto absorb = [&](auto&& s) {
+            if (bottom)
+                j = std::forward<decltype(s)>(s);
+            else
+                j = p.join(j, s);
+            bottom = false;
+        };
+        for (const std::uint32_t s : sources) {
+            const State& src = *tail[s];
+            if constexpr (requires { p.edge(n, src, Addr{}); }) {
+                std::optional<State> e =
+                    p.edge(cfg.nodeNumbered(s), src, cfg.addressOf(i));
+                if (e)
+                    absorb(std::move(*e));
+                else
+                    absorb(src);
             } else {
-                j = p.join(j, src);
+                absorb(src);
             }
         }
 
-        State& head_slot = head.at(pc);
+        State& head_slot = *head[i];
         if (!(j == head_slot)) {
             if constexpr (requires { p.widen(j, j, run.widenings); }) {
-                if (++joins[pc] > kAbsintWidenJoins)
+                if (++joins[i] > kAbsintWidenJoins)
                     j = p.widen(head_slot, j, run.widenings);
             }
-            head_slot = j;
+            head_slot = std::move(j);
         }
 
-        State t = p.transfer(n, j);
-        State& tail_slot = tail.at(pc);
+        State t = p.transfer(n, head_slot);
+        State& tail_slot = *tail[i];
         if (t == tail_slot)
             continue;
         tail_slot = std::move(t);
-        for (const Addr s : kForward ? n.succs : n.preds) {
-            if (queued.insert(s).second)
+        for (const std::uint32_t s :
+             kForward ? cfg.succNumbers(i) : cfg.predNumbers(i)) {
+            if (!queued[s]) {
+                queued[s] = true;
                 work.push_back(s);
+            }
         }
     }
     return run;

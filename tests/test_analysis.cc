@@ -119,6 +119,50 @@ TEST(Cfg, UnreachableCodeIsReported)
     EXPECT_FALSE(r.cfg->unreachableRanges().empty());
 }
 
+/** The numbers of @p nums, mapped back to addresses. */
+std::vector<Addr>
+addressesOf(const Cfg& cfg, std::span<const std::uint32_t> nums)
+{
+    std::vector<Addr> out;
+    for (const std::uint32_t i : nums)
+        out.push_back(cfg.addressOf(i));
+    return out;
+}
+
+/** Node numbers follow nodes() in address order, and each number's
+ *  successor and predecessor numbers name exactly its succs and preds. */
+void
+expectNumberingMirrorsNodes(const Program& prog, const std::string& name)
+{
+    for (FoldPolicy fp :
+         {FoldPolicy::kNone, FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+        const Cfg cfg(prog, fp);
+        const std::string at =
+            name + " fold " + std::to_string(static_cast<int>(fp));
+        std::uint32_t i = 0;
+        for (const auto& [pc, n] : cfg.nodes()) {
+            ASSERT_EQ(cfg.numberOf(pc), i) << at << " node " << pc;
+            ASSERT_EQ(cfg.addressOf(i), pc) << at << " number " << i;
+            ASSERT_EQ(&cfg.nodeNumbered(i), &n) << at << " number " << i;
+            EXPECT_EQ(addressesOf(cfg, cfg.succNumbers(i)), n.succs)
+                << at << " node " << pc << " successors";
+            EXPECT_EQ(addressesOf(cfg, cfg.predNumbers(i)), n.preds)
+                << at << " node " << pc << " predecessors";
+            ++i;
+        }
+    }
+}
+
+TEST(Cfg, NumberingMirrorsNodeMap)
+{
+    for (const Workload& w : allWorkloads())
+        expectNumberingMirrorsNodes(cc::compile(w.source).program, w.name);
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        expectNumberingMirrorsNodes(verify::generate(seed).link(),
+                                    "seed " + std::to_string(seed));
+    }
+}
+
 TEST(Dataflow, AdjacentCompareBranchIsShortSpread)
 {
     AsmBuilder b;

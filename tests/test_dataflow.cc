@@ -783,6 +783,144 @@ TEST(Fixpoint, EveryAnalysisConvergesToAFixpointAcross200Seeds)
     }
 }
 
+/** join(bottom, s) and join(s, bottom) are @p s itself, exactly. */
+template <class State, class Join>
+void
+expectBottomIsIdentity(const std::map<Addr, State>& states, Join join,
+                       const std::string& at)
+{
+    for (const auto& [pc, s] : states) {
+        EXPECT_TRUE(join(State{}, s) == s) << at << " node " << pc;
+        EXPECT_TRUE(join(s, State{}) == s) << at << " node " << pc;
+    }
+}
+
+TEST(Fixpoint, BottomIsTheIdentityOfEveryJoin)
+{
+    // The solver takes a node's first incoming state as it is instead
+    // of joining it into State{}, which is sound only because bottom
+    // is the identity of join (docs/ANALYSIS.md, the policy contract).
+    const auto mem = [](const std::map<Addr, LiveSet>& live) {
+        std::map<Addr, MemLive> m;
+        for (const auto& [pc, s] : live)
+            m.emplace(pc, s.mem);
+        return m;
+    };
+    for (const Workload& w : allWorkloads()) {
+        const Program prog = cc::compile(w.source).program;
+        for (FoldPolicy fp :
+             {FoldPolicy::kNone, FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+            const Cfg cfg(prog, fp);
+            const std::string at =
+                w.name + " fold " + std::to_string(static_cast<int>(fp));
+            const AbsIntResult ai = interpret(cfg);
+            const SccpResult sc = sccp(cfg);
+            const LivenessResult lv = computeLiveness(cfg, sc.state);
+            for (const auto* states : {&ai.in, &ai.out, &sc.state.in,
+                                       &sc.state.out}) {
+                expectBottomIsIdentity(*states, joinState,
+                                       at + " joinState");
+            }
+            expectBottomIsIdentity(computeReachDefs(cfg, sc.state).in,
+                                   joinRd, at + " joinRd");
+            expectBottomIsIdentity(mem(lv.in), joinMemLive,
+                                   at + " joinMemLive in");
+            expectBottomIsIdentity(mem(lv.out), joinMemLive,
+                                   at + " joinMemLive out");
+        }
+    }
+}
+
+/** FNV-1a (64-bit) of @p s, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string& s)
+{
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** One analysis's solver work, summed over many runs. */
+struct Work
+{
+    std::uint64_t steps = 0;
+    std::uint64_t widenings = 0;
+    int unconverged = 0;
+
+    void
+    add(const FixpointRun& r)
+    {
+        steps += r.steps;
+        widenings += static_cast<std::uint64_t>(r.widenings);
+        unconverged += r.converged ? 0 : 1;
+    }
+};
+
+/** The five fixpoints' work and the lint-report digest of generated
+ *  programs 1–200 under one fold policy. */
+struct SeedPin
+{
+    FoldPolicy policy;
+    Work absint, sccp, liveness, reachdefs, targets;
+    std::uint64_t jsonDigest;
+};
+
+TEST(Fixpoint, ResultsMatchRecordedAcrossSeeds)
+{
+    // Recorded before the solver ran over dense node numbers: any
+    // change to the worklist order, the joins or widening moves a
+    // step count, and any change to a published state moves the
+    // digest of analyzeProgram's report.
+    const SeedPin kPins[] = {
+        {FoldPolicy::kNone, {47162, 197, 0}, {39074, 168, 0},
+         {15498, 0, 0}, {25050, 0, 0}, {23895, 38, 0},
+         13595903208361977124ull},
+        {FoldPolicy::kCrisp, {43254, 195, 0}, {35531, 162, 0},
+         {14292, 0, 0}, {23225, 0, 0}, {21779, 34, 0},
+         6396441515611063658ull},
+        {FoldPolicy::kAll, {42709, 194, 0}, {35093, 162, 0},
+         {14104, 0, 0}, {22683, 0, 0}, {21463, 34, 0},
+         13976811542188339706ull},
+    };
+    for (const SeedPin& want : kPins) {
+        SeedPin got{want.policy, {}, {}, {}, {}, {}, 0xcbf29ce484222325ull};
+        AnalysisOptions opt;
+        opt.policy = want.policy;
+        opt.predict = PredictConvention::kNone;
+        for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+            const Program p = verify::generate(seed).link();
+            const Cfg cfg(p, want.policy);
+            got.absint.add(interpret(cfg));
+            const SccpResult sc = sccp(cfg);
+            got.sccp.add(sc.state);
+            got.liveness.add(computeLiveness(cfg, sc.state));
+            got.reachdefs.add(computeReachDefs(cfg, sc.state));
+            got.targets.add(analyzeTargets(cfg, CallGraph(cfg), sc));
+            got.jsonDigest =
+                fnv1a(got.jsonDigest, analyzeProgram(p, opt).toJson());
+        }
+        const std::string at =
+            "fold " + std::to_string(static_cast<int>(want.policy));
+        const auto expect_work = [&](const char* name, const Work& g,
+                                     const Work& w) {
+            EXPECT_EQ(g.steps, w.steps) << at << " " << name << " steps";
+            EXPECT_EQ(g.widenings, w.widenings)
+                << at << " " << name << " widenings";
+            EXPECT_EQ(g.unconverged, w.unconverged)
+                << at << " " << name << " runs that did not converge";
+        };
+        expect_work("interpret", got.absint, want.absint);
+        expect_work("sccp", got.sccp, want.sccp);
+        expect_work("computeLiveness", got.liveness, want.liveness);
+        expect_work("computeReachDefs", got.reachdefs, want.reachdefs);
+        expect_work("analyzeTargets", got.targets, want.targets);
+        EXPECT_EQ(got.jsonDigest, want.jsonDigest)
+            << at << " analyzeProgram(...).toJson() digest";
+    }
+}
+
 // ------------------------------------------------------------ widening
 
 TEST(Absint, AcyclicJoinConvergesExactlyWithoutWidening)
