@@ -44,42 +44,45 @@ ProgramRegistry::intern(std::uint64_t hash, Program&& prog)
     return entry;
 }
 
+namespace
+{
+
+/**
+ * Warm @p entry's predecode table for @p policy on first request;
+ * the caller holds the registry lock. After warmAll succeeds the table
+ * is fully memoized and therefore read-only, so workers may share it
+ * without further locking. @return false when the table is private:
+ * some parcel address threw on decode, now or on an earlier request.
+ */
+bool
+warmShared(ProgramRegistry::Entry& entry, FoldPolicy policy)
+{
+    const auto p = static_cast<std::size_t>(policy);
+    if (!entry.warmed[p] && !entry.warmFailed[p]) {
+        entry.warmed[p] = entry.predecode->warmAll(policy);
+        entry.warmFailed[p] = !entry.warmed[p];
+    }
+    return entry.warmed[p];
+}
+
+} // namespace
+
 PredecodeCache*
 ProgramRegistry::sharedTables(const std::shared_ptr<Entry>& entry,
                               FoldPolicy policy)
 {
-    const auto p = static_cast<std::size_t>(policy);
-    // Warm under the registry lock: after warmAll succeeds the table
-    // is fully memoized and therefore read-only, so workers may share
-    // it without further locking.
     std::lock_guard<std::mutex> lk(mu_);
-    if (entry->warmFailed[p])
-        return nullptr;
-    if (!entry->warmed[p]) {
-        if (!entry->predecode->warmAll(policy)) {
-            entry->warmFailed[p] = true;
-            return nullptr;
-        }
-        entry->warmed[p] = true;
-    }
-    return entry->predecode.get();
+    return warmShared(*entry, policy) ? entry->predecode.get() : nullptr;
 }
 
 const Translation*
 ProgramRegistry::sharedTranslation(const std::shared_ptr<Entry>& entry,
                                    FoldPolicy policy)
 {
-    const auto p = static_cast<std::size_t>(policy);
     std::lock_guard<std::mutex> lk(mu_);
-    if (entry->warmFailed[p])
+    if (!warmShared(*entry, policy))
         return nullptr;
-    if (!entry->warmed[p]) {
-        if (!entry->predecode->warmAll(policy)) {
-            entry->warmFailed[p] = true;
-            return nullptr;
-        }
-        entry->warmed[p] = true;
-    }
+    const auto p = static_cast<std::size_t>(policy);
     if (!entry->translation[p]) {
         // Built once under the lock over the warmed (read-only)
         // predecode tables; immutable afterwards, so fast-engine

@@ -1,10 +1,11 @@
 /**
  * @file
  * Command-line helpers shared by the tools: the `--key=value` matcher,
- * a strict numeric parser and the `--fold=` policy names. A numeric
- * flag reads its whole value with std::from_chars and checks a range,
- * so a malformed or out-of-range value is a usage error (exit 2),
- * never a silent 0 or a truncated prefix.
+ * a strict numeric parser, the `--fold=` policy names and the input
+ * file loader. A numeric flag reads its whole value with
+ * std::from_chars and checks a range, so a malformed or out-of-range
+ * value is a usage error (exit 2), never a silent 0 or a truncated
+ * prefix.
  */
 
 #ifndef CRISP_TOOLS_CLI_HH
@@ -12,10 +13,15 @@
 
 #include <charconv>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <type_traits>
 
+#include "asm/assembler.hh"
+#include "cc/compiler.hh"
+#include "isa/objfile.hh"
 #include "sim/config.hh"
 
 namespace crisp::cli
@@ -65,6 +71,32 @@ parseFold(const char* text, FoldPolicy& out)
     else
         return false;
     return true;
+}
+
+/** The whole text of @p path. @throw CrispError "cannot open: <path>". */
+inline std::string
+readFile(const std::string& path)
+{
+    std::ifstream f(path);
+    if (!f)
+        throw CrispError("cannot open: " + path);
+    std::ostringstream os;
+    os << f.rdbuf();
+    return os.str();
+}
+
+/**
+ * Load the program in @p path by its name: a `.obj` object file, `.s`
+ * or `.asm` assembly, else CRISP-C source compiled with @p opts.
+ */
+inline Program
+loadProgram(const std::string& path, const cc::CompileOptions& opts = {})
+{
+    if (path.ends_with(".obj"))
+        return loadObjectFile(path);
+    if (path.ends_with(".s") || path.ends_with(".asm"))
+        return assemble(readFile(path));
+    return cc::compile(readFile(path), opts).program;
 }
 
 } // namespace crisp::cli

@@ -8,28 +8,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "asm/assembler.hh"
+#include "cli.hh"
 #include "isa/objfile.hh"
-
-namespace
-{
-
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f)
-        throw crisp::CrispError("cannot open: " + path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -64,7 +47,7 @@ main(int argc, char** argv)
             std::fputs(prog.disassemble().c_str(), stdout);
             return 0;
         }
-        const Program prog = assemble(readFile(input));
+        const Program prog = assemble(cli::readFile(input));
         if (output.empty()) {
             std::fputs(prog.disassemble().c_str(), stdout);
         } else {

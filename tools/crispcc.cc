@@ -43,28 +43,16 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "analysis/ccverify.hh"
 #include "analysis/opt.hh"
 #include "cc/compiler.hh"
+#include "cli.hh"
 #include "isa/objfile.hh"
 
 namespace
 {
-
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f)
-        throw crisp::CrispError("cannot open: " + path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
 
 int
 usage()
@@ -143,7 +131,7 @@ main(int argc, char** argv)
         return usage();
 
     try {
-        cc::CompileResult r = cc::compile(readFile(input), opts);
+        cc::CompileResult r = cc::compile(cli::readFile(input), opts);
         analysis::OptReport orep;
         if (optimize) {
             orep = analysis::optimize(r, opts, oopts);

@@ -23,41 +23,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "asm/assembler.hh"
-#include "cc/compiler.hh"
-#include "isa/objfile.hh"
+#include "cli.hh"
 #include "sim/cpu.hh"
 
 namespace
 {
 
 using namespace crisp;
-
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f)
-        throw CrispError("cannot open: " + path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
-bool
-endsWith(const std::string& s, const std::string& suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
 
 /** Observer that counts retirements and checks breakpoints. */
 struct DebugObserver : ExecObserver
@@ -298,14 +276,7 @@ main(int argc, char** argv)
     }
     const std::string input = argv[1];
     try {
-        Program prog;
-        if (endsWith(input, ".obj"))
-            prog = loadObjectFile(input);
-        else if (endsWith(input, ".s") || endsWith(input, ".asm"))
-            prog = assemble(readFile(input));
-        else
-            prog = crisp::cc::compile(readFile(input)).program;
-
+        const Program prog = cli::loadProgram(input);
         Debugger dbg(prog);
         dbg.repl();
     } catch (const std::exception& e) {

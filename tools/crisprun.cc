@@ -1,32 +1,30 @@
 /**
  * @file
  * crisprun — run a CRISP program (C source, assembly or object file)
- * on any of the three machines with full statistics.
+ * on any of the four engines with full statistics.
  *
  *   crisprun program.{c,s,obj}
- *            [--machine=pipeline|interp|delayed]
- *            [--engine=fast|cycle|interp]
+ *            [--engine=cycle|fast|interp|delayed]
  *            [--fold=none|crisp|all] [--dic=N] [--mem-latency=N]
  *            [--stack-cache=N] [--stack-penalty=N]
  *            [--no-predict-bit] [--profile-opt]
  *            [--trace[=N]] [--stats] [--histogram]
  *            [--stats-json FILE]
  *
- *   --engine=KIND  pick the execution engine directly: "fast" is the
- *                  threaded-code functional engine (architectural
- *                  results and opcode statistics at native speed, no
- *                  cycle timing), "cycle" the pipeline simulator,
- *                  "interp" the reference interpreter. --machine=
- *                  remains the timing-model selector; --engine=fast is
- *                  the choice for architectural-only runs.
+ *   --engine=KIND  the machine to run on: "cycle" (the default) is
+ *                  the pipeline simulator, "fast" the threaded-code
+ *                  functional engine (architectural results and opcode
+ *                  statistics at native speed, no cycle timing),
+ *                  "interp" the reference interpreter and "delayed"
+ *                  the delayed-branch baseline machine.
  *   --profile-opt  run once on the interpreter and patch profile-
  *                  optimal prediction bits before the measured run
- *   --annul        with --machine=delayed: squashing (annulling) delay
+ *   --annul        with --engine=delayed: squashing (annulling) delay
  *                  slots, filled from branch targets
  *   --trace[=N]    print a per-cycle pipeline trace (first N cycles)
  *   --histogram    print the dynamic opcode histogram
- *   --stats-json FILE  (pipeline machine) write the full SimStats as a
- *                  JSON object to FILE ("-" for stdout)
+ *   --stats-json FILE  (cycle and fast engines) write the full
+ *                  SimStats as a JSON object to FILE ("-" for stdout)
  *
  * The program's exit value (main's return, i.e. the accumulator) is
  * printed; a delayed-branch machine requires a program compiled with
@@ -38,15 +36,12 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 
-#include "asm/assembler.hh"
 #include "baseline/delayed.hh"
 #include "cc/compiler.hh"
 #include "cli.hh"
 #include "interp/interpreter.hh"
-#include "isa/objfile.hh"
 #include "predict/profile.hh"
 #include "sim/cpu.hh"
 #include "sim/fastengine.hh"
@@ -54,40 +49,21 @@
 namespace
 {
 
-std::string
-readFile(const std::string& path)
-{
-    std::ifstream f(path);
-    if (!f)
-        throw crisp::CrispError("cannot open: " + path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
-bool
-endsWith(const std::string& s, const std::string& suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
 int
 usage()
 {
     std::fprintf(
         stderr,
         "usage: crisprun program.{c,s,obj} [options]\n"
-        "  --machine=pipeline|interp|delayed   (default pipeline)\n"
-        "  --engine=fast|cycle|interp  (fast: threaded functional "
-        "engine)\n"
+        "  --engine=cycle|fast|interp|delayed  (default cycle; fast: "
+        "threaded functional engine)\n"
         "  --fold=none|crisp|all  --dic=N (power of two <= 65536)\n"
         "  --mem-latency=N (0-10000)  --stack-cache=N (1-65536)\n"
         "  --stack-penalty=N (0-10000)  --no-predict-bit\n"
         "  --max-cycles=N  --profile-opt  --annul  --trace[=N]  "
         "--stats  --histogram\n"
-        "  --stats-json FILE  (pipeline only; \"-\" for stdout)\n"
+        "  --stats-json FILE  (cycle and fast only; \"-\" for "
+        "stdout)\n"
         "exit status: 0 ok, 1 load/internal error, 2 usage,\n"
         "             3 cycle limit exceeded, 4 machine fault\n");
     return 2;
@@ -101,30 +77,22 @@ main(int argc, char** argv)
     using namespace crisp;
 
     std::string input;
-    std::string machine = "pipeline";
+    std::string engine = "cycle";
     SimConfig cfg;
     bool want_stats = false;
     bool want_histogram = false;
     std::string stats_json_path;
     bool profile_opt = false;
     long trace_cycles = 0;
-    bool delay_slots_hint = false;
     bool annul = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         const auto val = [&](const char* key) { return cli::flag(a, key); };
-        if (const char* v = val("--machine=")) {
-            machine = v;
-        } else if (const char* ve = val("--engine=")) {
-            const std::string e = ve;
-            if (e == "fast")
-                machine = "fast";
-            else if (e == "cycle")
-                machine = "pipeline";
-            else if (e == "interp")
-                machine = "interp";
-            else
+        if (const char* v = val("--engine=")) {
+            engine = v;
+            if (engine != "cycle" && engine != "fast" &&
+                engine != "interp" && engine != "delayed")
                 return usage();
         } else if (const char* v2 = val("--fold=")) {
             if (!cli::parseFold(v2, cfg.foldPolicy))
@@ -178,21 +146,12 @@ main(int argc, char** argv)
     }
     if (input.empty())
         return usage();
-    if (machine == "delayed")
-        delay_slots_hint = true;
 
     try {
-        Program prog;
-        if (endsWith(input, ".obj")) {
-            prog = loadObjectFile(input);
-        } else if (endsWith(input, ".s") || endsWith(input, ".asm")) {
-            prog = assemble(readFile(input));
-        } else {
-            cc::CompileOptions opts;
-            opts.delaySlots = delay_slots_hint;
-            opts.annulSlots = annul;
-            prog = cc::compile(readFile(input), opts).program;
-        }
+        cc::CompileOptions opts;
+        opts.delaySlots = engine == "delayed";
+        opts.annulSlots = annul;
+        Program prog = cli::loadProgram(input, opts);
 
         if (profile_opt) {
             prog = profileOptimize(prog);
@@ -200,7 +159,7 @@ main(int argc, char** argv)
                                  "prediction bits\n");
         }
 
-        if (machine == "interp") {
+        if (engine == "interp") {
             Interpreter interp(prog);
             const InterpResult r = interp.run();
             std::printf("exit value: %d\n",
@@ -224,7 +183,7 @@ main(int argc, char** argv)
             return 0;
         }
 
-        if (machine == "delayed") {
+        if (engine == "delayed") {
             DelayedBranchCpu cpu(prog, annul);
             const DelayedStats& s = cpu.run();
             std::printf("exit value: %d\n",
@@ -246,10 +205,7 @@ main(int argc, char** argv)
             return s.halted ? 0 : 3;
         }
 
-        const bool fast = machine == "fast";
-        if (!fast && machine != "pipeline")
-            return usage();
-
+        const bool fast = engine == "fast";
         std::optional<FastEngine> eng;
         std::optional<CrispCpu> cpu;
         if (fast) {

@@ -5,70 +5,64 @@
  *
  *   crisptorture [--seeds=N] [--seed0=K] [--configs=quick|full]
  *                [--faults [--fault-kind=NAME]] [--shrink-demo]
+ *                [--engine-diff] [--opt]
  *                [--max-steps=N] [--timeout-ms=N] [--jobs=N] [-v]
  *
- * Modes:
- *  - default: every seed's program runs in lockstep against the
- *    functional interpreter across a matrix of pipeline configurations
- *    (fold policies; --configs=full adds DIC sizes and memory
- *    latencies). Any divergence is shrunk to a minimal reproducer and
- *    printed with its listing. Each (seed, config) pair also runs the
- *    static analyzer as a pre-simulation oracle: the per-site fold /
- *    prediction / resolved-at-issue counts it predicts must match what
- *    the pipeline actually retires; a disagreement is a
- *    "static mismatch" verdict and is shrunk just like a divergence.
- *    The oracle also holds every retired branch's observed delay (and
- *    the run's branchDelayCycles total) inside the cost engine's
- *    static per-site bounds; an escape is a "cost bound violation"
- *    verdict, shrunk the same way. Exit 1 on any verdict.
- *  - --faults: every seed also runs under each fault injector. Benign
- *    hint faults (flip-predict-bit, unfold-pair, drop-fill) must leave
- *    the architectural event stream and final state bit-identical
- *    (only cycle counts may change). Metadata corruption
- *    (corrupt-next-pc, corrupt-alt-pc, corrupt-cc-bit) runs with the
- *    retire-time decode checker enabled and must either never take
- *    effect or be reported as a structured DIC-corruption diagnostic —
- *    never a hang or a wrong answer.
+ * Every sweep runs a list of legs per seed. A leg is one run of the
+ * seed's program: the cycle pipeline or the fast engine in lockstep
+ * with the functional interpreter, or the static oracle; a cycle leg
+ * may run under a fault injector. One checker runs, classifies,
+ * shrinks and prints every leg: a failure prints "=== [MODE ]VERDICT
+ * seed=S <leg> ===", the leg's report, then the program, shrunk to a
+ * minimal reproducer of that verdict on that leg if generated, as its
+ * optimized listing if an --opt source. Exit 1 on any verdict.
+ *
+ *  - default: per configuration (fold policies; --configs=full adds
+ *    DIC sizes and memory latencies), a cycle leg and an oracle leg.
+ *    The oracle holds the analyzer's fold / prediction / resolved-at-
+ *    issue counts to what the pipeline retires (STATIC MISMATCH), each
+ *    branch's delay to the cost engine's static bounds (COST BOUND
+ *    VIOLATION), and indirect jumps to their proven target sets
+ *    (TARGET SET VIOLATION).
+ *  - --faults: a clean cycle leg, then one under each injector. Benign
+ *    hint faults (flip-predict-bit, unfold-pair, drop-fill) may change
+ *    only cycle counts. Metadata corruption (corrupt-next-pc,
+ *    corrupt-alt-pc, corrupt-cc-bit) runs with the retire-time decode
+ *    checker on and must never take effect or be reported as
+ *    structured DIC corruption, never a hang or a wrong answer.
+ *  - --engine-diff: a fast leg (fault reasons, opcode histogram and
+ *    branch counts too) and a cycle leg per fold policy. Both check the
+ *    full final state against one interpreter reference, so passing
+ *    legs pin all three engines to one architectural behaviour.
+ *  - --opt: every seed compiles a CRISP-C program (a masked-LCG loop
+ *    whose guard is drawn provably never-taken, dynamic or
+ *    data-correlated), optimizes it, checks the translation
+ *    validator's verdict, then runs fast, cycle and oracle legs per
+ *    fold policy over the optimized binary. A sweep where no seed
+ *    optimizes fails: the gate must exercise the passes.
  *  - --shrink-demo: seeds an artificial implementation bug (arch-bug
- *    injector, checker off), finds a diverging seed, and shrinks it,
- *    demonstrating the reducer on a real architectural divergence.
- *  - --opt: optimizer differential. Every seed generates a CRISP-C
- *    program (masked-LCG reduction loop with a seed-drawn guard
- *    structure: provably never-taken, genuinely dynamic, or
- *    data-correlated), compiles it, runs the dataflow optimizer, and
- *    holds the *optimized* binary to the full battery: translation
- *    validation, cycle-pipeline and fast-engine lockstep per fold
- *    policy, and the static oracle. A sweep where no seed optimizes
- *    fails — the gate must actually exercise the passes.
- *  - --engine-diff: three-way engine differential. Every seed runs the
- *    threaded-code fast engine against the interpreter (the stronger
- *    functional contract: fault reasons, opcode histogram, branch
- *    counts) AND the cycle pipeline against the interpreter, per fold
- *    policy. Both legs passing pins all three engines to the same
- *    architectural behaviour (each leg checks the full final state
- *    against the shared reference). Failures are shrunk as usual. The
- *    sweep always uses the fold-policy matrix — timing knobs (DIC
- *    size, memory latency) are meaningless to the functional engine.
+ *    injector, checker off), finds a diverging seed and shrinks it.
  *
- * Seeds are independent, so the sweeps fan out across a thread pool
- * (--jobs, default: hardware concurrency). Each worker owns its
- * program, simulator and shrinker; per-seed output is buffered and
- * emitted in seed order, so the report (and the exit verdict) is
- * byte-identical for any job count.
+ * Seeds fan out across a thread pool (--jobs, default: hardware
+ * concurrency); per-seed output is printed in seed order, so the
+ * report and the exit status are the same for any job count.
  *
- * --timeout-ms=N arms a wall-clock watchdog per (seed, config) run:
- * one shared scanner thread (util::Watchdog) fires the pipeline's
- * cooperative cancel flag, the run comes back as Divergence::kTimeout,
- * and the seed is reported with a distinct TIMEOUT verdict — shrunk
- * like any other failure, against a "still times out" predicate. A
- * wedged run is a verdict (exit 1), never a hung harness.
+ * --timeout-ms=N arms a wall-clock watchdog on every lockstep leg in
+ * every mode: one shared util::Watchdog thread fires the engine's
+ * cooperative cancel flag, and the leg is a TIMEOUT. The oracle leg
+ * runs under its lockstep leg's cycle budget (48 cycles per reference
+ * instruction plus 50,000) and is skipped after that leg times out.
  */
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,6 +70,7 @@
 #include "analysis/oracle.hh"
 #include "cc/compiler.hh"
 #include "cli.hh"
+#include "interp/interpreter.hh"
 #include "util/thread_pool.hh"
 #include "util/watchdog.hh"
 #include "verify/enginediff.hh"
@@ -153,69 +148,209 @@ configMatrix(bool full)
     return out;
 }
 
-std::string
-divergenceText(std::uint64_t seed, const SimConfig& cfg,
-               const LockstepReport& rep, const GenProgram& shrunk,
-               int shrink_tests)
+/** What a leg runs its program on. */
+enum class Engine : std::uint8_t { kCycle, kFast, kOracle };
+
+/** One run of a seed's program; fault.kind is kNone when uninjected. */
+struct Leg
 {
-    char head[128];
-    std::snprintf(head, sizeof(head),
-                  "=== DIVERGENCE seed=%llu fold=%d dic=%d "
-                  "mem-latency=%d ===\n",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<int>(cfg.foldPolicy), cfg.dicEntries,
-                  cfg.memLatency);
-    char mid[96];
-    std::snprintf(mid, sizeof(mid),
-                  "--- shrunk to %d instructions (%d shrink tests) "
-                  "---\n",
-                  shrunk.instructionCount(), shrink_tests);
-    return std::string(head) + rep.toString() + "\n" + mid +
-           shrunk.listing();
-}
+    Engine engine = Engine::kCycle;
+    SimConfig cfg;
+    FaultConfig fault;
+    /** The leg's name in a failure header, e.g. "engine=fast fold=1". */
+    std::string tag;
+};
+
+/** What a leg can find, in the order a failure header prefers them. */
+enum Verdict : int {
+    kPass,
+    kDivergence,
+    kTimeout,
+    kStaticMismatch,
+    kCostBound,
+    kTargetSet,
+    kFaultViolation,
+    kVerdicts,
+};
+
+constexpr const char* kVerdictName[kVerdicts] = {
+    "PASS",
+    "DIVERGENCE",
+    "TIMEOUT",
+    "STATIC MISMATCH",
+    "COST BOUND VIOLATION",
+    "TARGET SET VIOLATION",
+    "FAULT PROPERTY VIOLATION",
+};
+
+/** One classified run of a leg. */
+struct Outcome
+{
+    /** Bit v set: the run found verdict v. An oracle run can find
+     *  several; the failure header names the first. */
+    unsigned found = 0;
+    LockstepReport rep; ///< lockstep legs only
+    std::string text;   ///< the report under a failure header
+
+    Verdict
+    verdict() const
+    {
+        return found == 0 ? kPass
+                          : static_cast<Verdict>(std::countr_zero(found));
+    }
+};
 
 /**
- * Lockstep one generated program under one config (+ maybe faults).
- * When the caller carries a --timeout-ms budget, a watchdog timer is
- * armed for just this run and its cancel flag handed to the pipeline;
- * a fire surfaces as Divergence::kTimeout in the report.
+ * Run @p leg over @p prog and classify it. A lockstep leg runs under
+ * its own watchdog timer when --timeout-ms is set. The oracle leg runs
+ * under the cycle budget runLockstep gives the program (48 cycles per
+ * reference instruction plus 50,000), not SimConfig's 2·10⁹.
  */
-LockstepReport
-runOne(const GenProgram& gp, const SimConfig& cfg,
-       const FaultConfig* fault, const Options& opt,
-       util::Watchdog* wd)
+Outcome
+runLeg(const Leg& leg, const Program& prog, const Options& opt,
+       util::Watchdog& wd)
 {
+    Outcome out;
+    if (leg.engine == Engine::kOracle) {
+        Interpreter ref(prog);
+        try {
+            ref.run(opt.maxSteps);
+        } catch (const CrispError&) {
+            // A faulting reference bounds the run by what it executed.
+        }
+        SimConfig cfg = leg.cfg;
+        cfg.maxCycles = ref.result().instructions * 48 + 50'000;
+        const analysis::OracleReport r =
+            analysis::runStaticOracle(prog, cfg);
+        out.found = (r.mismatches.empty() ? 0 : 1u << kStaticMismatch) |
+                    (r.costViolations.empty() ? 0 : 1u << kCostBound) |
+                    (r.targetViolations.empty() ? 0 : 1u << kTargetSet);
+        if (out.found != 0)
+            out.text = r.toString();
+        return out;
+    }
+
     LockstepOptions lo;
-    lo.cfg = cfg;
+    lo.cfg = leg.cfg;
     lo.maxSteps = opt.maxSteps;
     std::shared_ptr<util::Watchdog::Timer> timer;
-    if (wd != nullptr && opt.timeoutMs > 0) {
-        timer = wd->arm(std::chrono::milliseconds(opt.timeoutMs));
+    if (opt.timeoutMs > 0) {
+        timer = wd.arm(std::chrono::milliseconds(opt.timeoutMs));
         lo.cancel = &timer->fired;
     }
-    FaultInjector inj(fault != nullptr ? *fault : FaultConfig{});
-    if (fault != nullptr)
+    const bool injected = leg.fault.kind != FaultKind::kNone;
+    FaultInjector inj(leg.fault);
+    if (injected)
         lo.hooks = &inj;
-    const LockstepReport rep = runLockstep(gp.link(), lo);
+    out.rep = leg.engine == Engine::kFast ? runFastLockstep(prog, lo)
+                                          : runLockstep(prog, lo);
     if (timer)
         timer->disarm();
-    return rep;
+
+    // A hint fault must leave the architecture bit-identical; metadata
+    // corruption may instead be caught by the retire-time checker.
+    const Divergence k = out.rep.kind;
+    const bool caught = injected && !faultIsBenignHint(leg.fault.kind) &&
+                        k == Divergence::kDicCorruptionDetected;
+    if (k == Divergence::kTimeout)
+        out.found = 1u << kTimeout;
+    else if (!out.rep.ok() && !caught)
+        out.found = 1u << (injected ? kFaultViolation : kDivergence);
+    if (out.found != 0)
+        out.text = out.rep.toString() + "\n";
+    return out;
 }
 
-/**
- * Run fn(seed_index) for every seed across the pool, tick the verbose
- * progress counter, then return. Results land in caller-owned per-seed
- * slots; nothing is printed from the workers except progress (stderr).
- */
-void
-sweepSeeds(const Options& opt,
-           const std::function<void(std::size_t)>& fn)
+/** What one seed's legs found, and the text they print. */
+struct SeedResult
 {
+    /** Legs that found each verdict (found[kPass] stays 0). */
+    int found[kVerdicts] = {};
+    /** --opt: translation-validator rejections; seeds optimized. */
+    int tvRejected = 0;
+    int optimized = 0;
+    /** --faults: benign runs that moved the cycle count; corruptions
+     *  the checker caught. */
+    std::uint64_t benignCycleDiffs = 0;
+    std::uint64_t detections = 0;
+    std::string text;
+
+    int
+    failures() const
+    {
+        return std::accumulate(found, found + kVerdicts, tvRejected);
+    }
+};
+
+/** One seed's battery in progress, and the checker every leg runs in. */
+struct SeedRun
+{
+    const Options& opt;
+    util::Watchdog& wd;
+    /** Names the sweep in failure headers: "", "ENGINE " or "OPT ". */
+    const char* mode;
+    std::uint64_t seed;
+    SeedResult& out;
+    /** The generated program; empty for a compiled --opt source, which
+     *  prints @c listing instead of a shrunk one. */
+    std::optional<GenProgram> gen{};
+    Program prog{};
+    std::string listing{};
+
+    /** Run @p leg, count what it found and print any failure. */
+    Outcome
+    check(const Leg& leg)
+    {
+        const Outcome o = runLeg(leg, prog, opt, wd);
+        for (int k = kDivergence; k < kVerdicts; ++k)
+            out.found[k] += (o.found >> k) & 1u;
+        const Verdict v = o.verdict();
+        if (v == kPass)
+            return o;
+        out.text += "=== " + std::string(mode) + kVerdictName[v] +
+                    " seed=" + std::to_string(seed) + " " + leg.tag;
+        if (v == kTimeout)
+            out.text += " budget=" + std::to_string(opt.timeoutMs) + "ms";
+        out.text += " ===\n" + o.text;
+        if (!gen) {
+            out.text += listing;
+            return o;
+        }
+        const ShrinkResult sh =
+            shrinkProgram(*gen, [&](const GenProgram& cand) {
+                const Outcome c = runLeg(leg, cand.link(), opt, wd);
+                return ((c.found >> v) & 1u) != 0;
+            });
+        out.text += "--- shrunk to " +
+                    std::to_string(sh.program.instructionCount()) +
+                    " instructions (" + std::to_string(sh.tests) +
+                    " shrink tests) ---\n" + sh.program.listing();
+        return o;
+    }
+};
+
+/**
+ * Run @p battery for every seed across the pool, the seed's generated
+ * program loaded unless @p compiled, then print each seed's text in
+ * seed order and return the counts summed over all seeds. Workers
+ * print nothing but the verbose progress counter (stderr).
+ */
+SeedResult
+sweepSeeds(const Options& opt, const char* mode, bool compiled,
+           const std::function<void(SeedRun&)>& battery)
+{
+    std::vector<SeedResult> results(static_cast<std::size_t>(opt.seeds));
+    util::Watchdog wd;
     util::ThreadPool pool(opt.jobs);
     std::atomic<std::uint64_t> done{0};
     pool.parallelFor(
         static_cast<std::size_t>(opt.seeds), [&](std::size_t i) {
-            fn(i);
+            SeedRun run{opt, wd, mode, opt.seed0 + i, results[i]};
+            if (!compiled) {
+                run.gen = generate(run.seed);
+                run.prog = run.gen->link();
+            }
+            battery(run);
             const std::uint64_t n =
                 done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (opt.verbose && n % 50 == 0) {
@@ -223,275 +358,87 @@ sweepSeeds(const Options& opt,
                              static_cast<unsigned long long>(n));
             }
         });
+
+    SeedResult sum;
+    for (const SeedResult& r : results) {
+        std::fputs(r.text.c_str(), stdout);
+        for (int v = 0; v < kVerdicts; ++v)
+            sum.found[v] += r.found[v];
+        sum.tvRejected += r.tvRejected;
+        sum.optimized += r.optimized;
+        sum.benignCycleDiffs += r.benignCycleDiffs;
+        sum.detections += r.detections;
+    }
+    return sum;
 }
 
-/** Plain differential sweep. @return divergences + static mismatches. */
+std::string
+foldTag(const SimConfig& cfg)
+{
+    return "fold=" + std::to_string(static_cast<int>(cfg.foldPolicy));
+}
+
+/** A fast or cycle lockstep leg, named by engine and fold policy. */
+Leg
+engineLeg(Engine e, const SimConfig& cfg)
+{
+    const char* name = e == Engine::kFast ? "fast" : "cycle";
+    return {e, cfg, {}, std::string("engine=") + name + " " + foldTag(cfg)};
+}
+
+/** Plain differential sweep. @return the number of failing legs. */
 int
 plainSweep(const Options& opt)
 {
     const auto cfgs = configMatrix(opt.full);
-    struct SeedOut
-    {
-        int bad = 0;
-        int staticBad = 0;
-        int costBad = 0;
-        int targetBad = 0;
-        int timedOut = 0;
-        std::string text;
-    };
-    std::vector<SeedOut> results(static_cast<std::size_t>(opt.seeds));
-    util::Watchdog wd;
-
-    sweepSeeds(opt, [&](std::size_t i) {
-        const std::uint64_t s = opt.seed0 + i;
-        const GenProgram gp = generate(s);
-        const Program prog = gp.link();
+    const SeedResult sum = sweepSeeds(opt, "", false, [&](SeedRun& run) {
         for (const SimConfig& cfg : cfgs) {
-            const LockstepReport rep =
-                runOne(gp, cfg, nullptr, opt, &wd);
-            if (rep.kind == Divergence::kTimeout) {
-                // The watchdog cancelled the run: a distinct verdict
-                // (the pipeline wedged, or the budget is too tight),
-                // shrunk against a "still times out" predicate. The
-                // oracle is skipped for this config — it re-runs the
-                // same pipeline and would wedge the same way.
-                ++results[i].timedOut;
-                const auto still_times_out =
-                    [&](const GenProgram& cand) {
-                        return runOne(cand, cfg, nullptr, opt, &wd)
-                                   .kind == Divergence::kTimeout;
-                    };
-                const ShrinkResult sh =
-                    shrinkProgram(gp, still_times_out);
-                char head[128];
-                std::snprintf(
-                    head, sizeof(head),
-                    "=== TIMEOUT seed=%llu fold=%d dic=%d "
-                    "mem-latency=%d budget=%llums ===\n",
-                    static_cast<unsigned long long>(s),
-                    static_cast<int>(cfg.foldPolicy), cfg.dicEntries,
-                    cfg.memLatency,
-                    static_cast<unsigned long long>(opt.timeoutMs));
-                char mid[96];
-                std::snprintf(mid, sizeof(mid),
-                              "--- shrunk to %d instructions (%d "
-                              "shrink tests) ---\n",
-                              sh.program.instructionCount(), sh.tests);
-                results[i].text += std::string(head) + rep.toString() +
-                                   "\n" + mid + sh.program.listing();
-                continue;
-            }
-            if (!rep.ok()) {
-                ++results[i].bad;
-                const auto still_fails = [&](const GenProgram& cand) {
-                    return !runOne(cand, cfg, nullptr, opt, &wd).ok();
-                };
-                const ShrinkResult sh = shrinkProgram(gp, still_fails);
-                results[i].text +=
-                    divergenceText(s, cfg, rep, sh.program, sh.tests);
-            }
-
-            // Static-analysis oracle: what the analyzer proves about
-            // fold classes, prediction bits, resolved-at-issue
-            // guarantees and per-site delay bounds must agree with
-            // what the pipeline retires.
-            const analysis::OracleReport orep =
-                analysis::runStaticOracle(prog, cfg);
-            if (orep.ok())
-                continue;
-            // A run can trip several verdicts; the structural
-            // mismatch dominates the label, then cost, then target
-            // sets — the counters track each kind regardless.
-            const bool structural = !orep.mismatches.empty();
-            const bool costly = !orep.costViolations.empty();
-            if (structural)
-                ++results[i].staticBad;
-            if (costly)
-                ++results[i].costBad;
-            if (!orep.targetViolations.empty())
-                ++results[i].targetBad;
-            const auto still_fails_oracle =
-                [&](const GenProgram& cand) {
-                    const analysis::OracleReport rr =
-                        analysis::runStaticOracle(cand.link(), cfg);
-                    if (structural)
-                        return !rr.mismatches.empty();
-                    if (costly)
-                        return !rr.costViolations.empty();
-                    return !rr.targetViolations.empty();
-                };
-            const ShrinkResult sh =
-                shrinkProgram(gp, still_fails_oracle);
-            char head[128];
-            std::snprintf(head, sizeof(head),
-                          "=== %s seed=%llu fold=%d "
-                          "dic=%d mem-latency=%d ===\n",
-                          structural ? "STATIC MISMATCH"
-                          : costly   ? "COST BOUND VIOLATION"
-                                     : "TARGET SET VIOLATION",
-                          static_cast<unsigned long long>(s),
-                          static_cast<int>(cfg.foldPolicy),
-                          cfg.dicEntries, cfg.memLatency);
-            char mid[96];
-            std::snprintf(mid, sizeof(mid),
-                          "--- shrunk to %d instructions (%d shrink "
-                          "tests) ---\n",
-                          sh.program.instructionCount(), sh.tests);
-            results[i].text += std::string(head) + orep.toString() +
-                               mid + sh.program.listing();
+            const std::string tag =
+                foldTag(cfg) + " dic=" + std::to_string(cfg.dicEntries) +
+                " mem-latency=" + std::to_string(cfg.memLatency);
+            // Skip the oracle after a timeout: it re-runs this pipeline.
+            if (run.check({Engine::kCycle, cfg, {}, tag}).verdict() !=
+                kTimeout)
+                run.check({Engine::kOracle, cfg, {}, tag});
         }
     });
-
-    int bad = 0;
-    int static_bad = 0;
-    int cost_bad = 0;
-    int target_bad = 0;
-    int timed_out = 0;
-    for (const SeedOut& r : results) {
-        std::fputs(r.text.c_str(), stdout);
-        bad += r.bad;
-        static_bad += r.staticBad;
-        cost_bad += r.costBad;
-        target_bad += r.targetBad;
-        timed_out += r.timedOut;
-    }
     std::printf("torture: %llu seeds x %zu configs, %d divergences, "
                 "%d static mismatches, %d cost-bound violations, "
                 "%d target-set violations, %d timeouts\n",
-                static_cast<unsigned long long>(opt.seeds),
-                cfgs.size(), bad, static_bad, cost_bad, target_bad,
-                timed_out);
-    return bad + static_bad + cost_bad + target_bad + timed_out;
+                static_cast<unsigned long long>(opt.seeds), cfgs.size(),
+                sum.found[kDivergence], sum.found[kStaticMismatch],
+                sum.found[kCostBound], sum.found[kTargetSet],
+                sum.found[kTimeout]);
+    return sum.failures();
 }
 
 /**
- * One fast-engine-vs-interpreter leg, with the same per-run watchdog
- * arming as runOne. The cooperative cancel flag is polled by the fast
- * engine on superblock boundaries.
- */
-LockstepReport
-runFastOne(const GenProgram& gp, const SimConfig& cfg,
-           const Options& opt, util::Watchdog* wd)
-{
-    LockstepOptions lo;
-    lo.cfg = cfg;
-    lo.maxSteps = opt.maxSteps;
-    std::shared_ptr<util::Watchdog::Timer> timer;
-    if (wd != nullptr && opt.timeoutMs > 0) {
-        timer = wd->arm(std::chrono::milliseconds(opt.timeoutMs));
-        lo.cancel = &timer->fired;
-    }
-    const LockstepReport rep = runFastLockstep(gp.link(), lo);
-    if (timer)
-        timer->disarm();
-    return rep;
-}
-
-/**
- * Three-way engine differential (--engine-diff): fast-vs-interp and
- * cycle-vs-interp per seed x fold policy. Each leg pins the complete
- * final architectural state against the shared interpreter reference,
- * so two passing legs transitively pin fast == cycle as well.
- * @return total divergences + timeouts.
+ * Three-way engine differential (--engine-diff): a fast and a cycle
+ * leg per seed x fold policy. @return the number of failing legs.
  */
 int
 engineSweep(const Options& opt)
 {
     const auto cfgs = configMatrix(false); // fold policies only
-    struct SeedOut
-    {
-        int bad = 0;
-        int timedOut = 0;
-        std::string text;
-    };
-    std::vector<SeedOut> results(static_cast<std::size_t>(opt.seeds));
-    util::Watchdog wd;
-
-    sweepSeeds(opt, [&](std::size_t i) {
-        const std::uint64_t s = opt.seed0 + i;
-        const GenProgram gp = generate(s);
-        for (const SimConfig& cfg : cfgs) {
-            for (const bool fast : {true, false}) {
-                const char* const leg = fast ? "fast" : "cycle";
-                const auto run = [&](const GenProgram& cand) {
-                    return fast ? runFastOne(cand, cfg, opt, &wd)
-                                : runOne(cand, cfg, nullptr, opt, &wd);
-                };
-                const LockstepReport rep = run(gp);
-                if (rep.kind == Divergence::kTimeout) {
-                    ++results[i].timedOut;
-                    const auto still_times_out =
-                        [&](const GenProgram& cand) {
-                            return run(cand).kind ==
-                                   Divergence::kTimeout;
-                        };
-                    const ShrinkResult sh =
-                        shrinkProgram(gp, still_times_out);
-                    char head[128];
-                    std::snprintf(
-                        head, sizeof(head),
-                        "=== ENGINE TIMEOUT seed=%llu engine=%s "
-                        "fold=%d budget=%llums ===\n",
-                        static_cast<unsigned long long>(s), leg,
-                        static_cast<int>(cfg.foldPolicy),
-                        static_cast<unsigned long long>(opt.timeoutMs));
-                    char mid[96];
-                    std::snprintf(mid, sizeof(mid),
-                                  "--- shrunk to %d instructions (%d "
-                                  "shrink tests) ---\n",
-                                  sh.program.instructionCount(),
-                                  sh.tests);
-                    results[i].text += std::string(head) +
-                                       rep.toString() + "\n" + mid +
-                                       sh.program.listing();
-                    continue;
-                }
-                if (rep.ok())
-                    continue;
-                ++results[i].bad;
-                const auto still_fails = [&](const GenProgram& cand) {
-                    return !run(cand).ok();
-                };
-                const ShrinkResult sh = shrinkProgram(gp, still_fails);
-                char head[128];
-                std::snprintf(head, sizeof(head),
-                              "=== ENGINE DIVERGENCE seed=%llu "
-                              "engine=%s fold=%d ===\n",
-                              static_cast<unsigned long long>(s), leg,
-                              static_cast<int>(cfg.foldPolicy));
-                char mid[96];
-                std::snprintf(mid, sizeof(mid),
-                              "--- shrunk to %d instructions (%d "
-                              "shrink tests) ---\n",
-                              sh.program.instructionCount(), sh.tests);
-                results[i].text += std::string(head) + rep.toString() +
-                                   "\n" + mid + sh.program.listing();
+    const SeedResult sum =
+        sweepSeeds(opt, "ENGINE ", false, [&](SeedRun& run) {
+            for (const SimConfig& cfg : cfgs) {
+                run.check(engineLeg(Engine::kFast, cfg));
+                run.check(engineLeg(Engine::kCycle, cfg));
             }
-        }
-    });
-
-    int bad = 0;
-    int timed_out = 0;
-    for (const SeedOut& r : results) {
-        std::fputs(r.text.c_str(), stdout);
-        bad += r.bad;
-        timed_out += r.timedOut;
-    }
+        });
     std::printf("engine torture: %llu seeds x %zu configs x 3 engines, "
                 "%d divergences, %d timeouts\n",
                 static_cast<unsigned long long>(opt.seeds), cfgs.size(),
-                bad, timed_out);
-    return bad + timed_out;
+                sum.found[kDivergence], sum.found[kTimeout]);
+    return sum.failures();
 }
 
 /**
- * Seeded CRISP-C source for the optimizer sweep (--opt): a masked-LCG
- * reduction loop whose guard structure is drawn from the seed. Some
- * draws make the range guard provably never-taken (the dataflow
- * optimizer folds the branch, deletes the arm and the dead store),
- * others leave it genuinely dynamic or correlate it with a data bit,
- * so the sweep covers both "passes fire" and "passes must leave it
- * alone".
+ * Seeded CRISP-C source for --opt. Some draws make the range guard
+ * provably never-taken (the optimizer folds the branch, deletes the arm
+ * and the dead store), others leave it dynamic or correlate it with a
+ * data bit: both "passes fire" and "passes must leave it alone".
  */
 std::string
 optSource(std::uint64_t seed)
@@ -545,226 +492,128 @@ optSource(std::uint64_t seed)
 }
 
 /**
- * Optimizer sweep (--opt): every seed's program is compiled, run
- * through the dataflow optimizer, and the *optimized* binary is held
- * to the full differential battery — translation-validator verdict,
- * cycle-pipeline lockstep and fast-engine lockstep per fold policy,
- * and the static oracle (fold/prediction/cost-bound agreement between
- * the analyzer and what the pipeline retires). C-level sources have no
- * instruction shrinker; failures print the optimized listing instead.
- * @return total failures.
+ * Optimizer sweep (--opt). In its summary a timeout counts as a
+ * divergence and every oracle verdict as a static mismatch.
+ * @return the number of failures.
  */
 int
 optSweep(const Options& opt)
 {
     const auto cfgs = configMatrix(false); // fold policies only
-    struct SeedOut
-    {
-        int bad = 0;
-        int tvRejected = 0;
-        int staticBad = 0;
-        bool optimized = false;
-        std::string text;
-    };
-    std::vector<SeedOut> results(static_cast<std::size_t>(opt.seeds));
-
-    sweepSeeds(opt, [&](std::size_t i) {
-        const std::uint64_t s = opt.seed0 + i;
-        SeedOut& out = results[i];
-        const std::string src = optSource(s);
+    const SeedResult sum = sweepSeeds(opt, "OPT ", true, [&](SeedRun& run) {
+        SeedResult& out = run.out;
+        const std::string s = std::to_string(run.seed);
+        const std::string src = optSource(run.seed);
         cc::CompileOptions copts;
         analysis::OptReport orep;
         try {
             const cc::CompileResult base = cc::compile(src, copts);
             orep = analysis::optimize(base, copts);
         } catch (const std::exception& e) {
-            ++out.bad;
-            out.text += "=== OPT COMPILE FAILURE seed=" +
-                        std::to_string(s) + " ===\n" + e.what() + "\n" +
-                        src;
+            ++out.found[kDivergence];
+            out.text += "=== OPT COMPILE FAILURE seed=" + s + " ===\n" +
+                        e.what() + "\n" + src;
             return;
         }
-        out.optimized = orep.optimized;
+        out.optimized = orep.optimized ? 1 : 0;
         if (!orep.tv.ok) {
             // optimize() falls back to the baseline rather than ship a
             // rejected rewrite, so a rejection here means even the
             // baseline re-link failed its self-check: always a bug.
             ++out.tvRejected;
-            out.text += "=== TV REJECTION seed=" + std::to_string(s) +
-                        " ===\n";
+            out.text += "=== TV REJECTION seed=" + s + " ===\n";
             for (const std::string& p : orep.tv.problems)
                 out.text += "  " + p + "\n";
             out.text += orep.result.listing;
         }
-        const Program& prog = orep.result.program;
+        run.prog = orep.result.program;
+        run.listing = orep.result.listing;
         for (const SimConfig& cfg : cfgs) {
-            for (const bool fast : {true, false}) {
-                LockstepOptions lo;
-                lo.cfg = cfg;
-                lo.maxSteps = opt.maxSteps;
-                const LockstepReport rep =
-                    fast ? runFastLockstep(prog, lo)
-                         : runLockstep(prog, lo);
-                if (rep.ok())
-                    continue;
-                ++out.bad;
-                char head[128];
-                std::snprintf(head, sizeof(head),
-                              "=== OPT DIVERGENCE seed=%llu engine=%s "
-                              "fold=%d ===\n",
-                              static_cast<unsigned long long>(s),
-                              fast ? "fast" : "cycle",
-                              static_cast<int>(cfg.foldPolicy));
-                out.text += std::string(head) + rep.toString() + "\n" +
-                            orep.result.listing;
-            }
-            const analysis::OracleReport orc =
-                analysis::runStaticOracle(prog, cfg);
-            if (orc.ok())
-                continue;
-            ++out.staticBad;
-            char head[128];
-            std::snprintf(head, sizeof(head),
-                          "=== OPT STATIC MISMATCH seed=%llu fold=%d "
-                          "===\n",
-                          static_cast<unsigned long long>(s),
-                          static_cast<int>(cfg.foldPolicy));
-            out.text += std::string(head) + orc.toString() +
-                        orep.result.listing;
+            run.check(engineLeg(Engine::kFast, cfg));
+            // Skip the oracle after a timeout: it re-runs this pipeline.
+            if (run.check(engineLeg(Engine::kCycle, cfg)).verdict() !=
+                kTimeout)
+                run.check({Engine::kOracle, cfg, {}, foldTag(cfg)});
         }
     });
-
-    int bad = 0;
-    int tv_rejected = 0;
-    int static_bad = 0;
-    int optimized = 0;
-    for (const SeedOut& r : results) {
-        std::fputs(r.text.c_str(), stdout);
-        bad += r.bad;
-        tv_rejected += r.tvRejected;
-        static_bad += r.staticBad;
-        optimized += r.optimized ? 1 : 0;
-    }
     std::printf("opt torture: %llu seeds x %zu configs x 2 engines, "
                 "%d divergences, %d tv rejections, %d static "
                 "mismatches, %d seeds optimized\n",
                 static_cast<unsigned long long>(opt.seeds), cfgs.size(),
-                bad, tv_rejected, static_bad, optimized);
+                sum.found[kDivergence] + sum.found[kTimeout],
+                sum.tvRejected,
+                sum.found[kStaticMismatch] + sum.found[kCostBound] +
+                    sum.found[kTargetSet],
+                sum.optimized);
     // A sweep where no seed optimized is not exercising the passes:
     // treat it as a harness failure so the CI gate stays meaningful.
-    if (optimized == 0 && opt.seeds > 0) {
+    if (sum.optimized == 0) {
         std::printf("opt torture: FAILED, no seed triggered the "
                     "optimizer\n");
         return 1;
     }
-    return bad + tv_rejected + static_bad;
+    return sum.failures();
 }
 
-/** Fault-injection sweep. @return number of property violations. */
+/**
+ * Fault-injection sweep: a clean cycle leg, then one per injector.
+ * In the summary every failing leg counts as a violation.
+ * @return the number of failing legs.
+ */
 int
 faultSweep(const Options& opt)
 {
-    struct SeedOut
-    {
-        int bad = 0;
-        std::uint64_t benignCycleDiffs = 0;
-        std::uint64_t detections = 0;
-        std::string text;
-    };
-    std::vector<SeedOut> results(static_cast<std::size_t>(opt.seeds));
-    util::Watchdog wd;
-
-    sweepSeeds(opt, [&](std::size_t i) {
-        const std::uint64_t s = opt.seed0 + i;
-        SeedOut& out = results[i];
-        const GenProgram gp = generate(s);
-        SimConfig cfg; // defaults: the CRISP configuration
-        const LockstepReport base =
-            runOne(gp, cfg, nullptr, opt, &wd);
-        if (!base.ok()) {
-            char head[96];
-            std::snprintf(head, sizeof(head),
-                          "seed %llu diverges with no fault "
-                          "injected:\n",
-                          static_cast<unsigned long long>(s));
-            out.text += std::string(head) + base.toString() + "\n";
-            ++out.bad;
+    const SeedResult sum = sweepSeeds(opt, "", false, [&](SeedRun& run) {
+        const SimConfig cfg; // defaults: the CRISP configuration
+        const Outcome base =
+            run.check({Engine::kCycle, cfg, {}, "fault=none"});
+        if (base.verdict() != kPass)
             return;
-        }
         for (FaultKind k : kInjectableFaults) {
             if (opt.onlyFault != FaultKind::kNone && k != opt.onlyFault)
                 continue;
-            FaultConfig fc;
-            fc.kind = k;
-            fc.seed = s;
-            SimConfig fcfg = cfg;
+            Leg leg{Engine::kCycle, cfg, {},
+                    "fault=" + std::string(faultKindName(k))};
             // The checker is the detection mechanism for metadata
             // corruption; it must also stay silent on benign hints.
-            fcfg.checkDecode = true;
-            const LockstepReport rep =
-                runOne(gp, fcfg, &fc, opt, &wd);
-            bool ok;
-            if (faultIsBenignHint(k)) {
-                // Hints: bit-identical architecture, timing may move.
-                ok = rep.ok();
-                if (ok && rep.sim.cycles != base.sim.cycles)
-                    ++out.benignCycleDiffs;
-            } else {
-                // Metadata: either the fault never reached a retiring
-                // entry, or it was detected as structured corruption.
-                ok = rep.ok() ||
-                     rep.kind == Divergence::kDicCorruptionDetected;
-                if (rep.kind == Divergence::kDicCorruptionDetected)
-                    ++out.detections;
-            }
-            if (!ok) {
-                ++out.bad;
-                char head[96];
-                std::snprintf(
-                    head, sizeof(head),
-                    "=== FAULT PROPERTY VIOLATION seed=%llu "
-                    "fault=%s ===\n",
-                    static_cast<unsigned long long>(s),
-                    std::string(faultKindName(k)).c_str());
-                out.text += std::string(head) + rep.toString() + "\n";
-            }
+            leg.cfg.checkDecode = true;
+            leg.fault.kind = k;
+            leg.fault.seed = run.seed;
+            const Outcome o = run.check(leg);
+            if (o.verdict() != kPass)
+                continue;
+            if (faultIsBenignHint(k) &&
+                o.rep.sim.cycles != base.rep.sim.cycles)
+                ++run.out.benignCycleDiffs;
+            if (o.rep.kind == Divergence::kDicCorruptionDetected)
+                ++run.out.detections;
         }
     });
-
-    int bad = 0;
-    std::uint64_t benign_cycle_diffs = 0;
-    std::uint64_t detections = 0;
-    for (const SeedOut& r : results) {
-        std::fputs(r.text.c_str(), stdout);
-        bad += r.bad;
-        benign_cycle_diffs += r.benignCycleDiffs;
-        detections += r.detections;
-    }
     std::printf("fault torture: %llu seeds, %d violations "
                 "(%llu benign runs changed cycle counts, "
                 "%llu corruptions detected)\n",
-                static_cast<unsigned long long>(opt.seeds), bad,
-                static_cast<unsigned long long>(benign_cycle_diffs),
-                static_cast<unsigned long long>(detections));
-    return bad;
+                static_cast<unsigned long long>(opt.seeds),
+                sum.failures(),
+                static_cast<unsigned long long>(sum.benignCycleDiffs),
+                static_cast<unsigned long long>(sum.detections));
+    return sum.failures();
 }
 
 /** Shrinker demo on a seeded architectural bug. @return 0 on success. */
 int
 shrinkDemo(const Options& opt)
 {
-    SimConfig cfg;
-    cfg.checkDecode = false; // the bug must stay silent
     util::Watchdog wd;
+    Leg leg;
+    leg.cfg.checkDecode = false; // the bug must stay silent
+    leg.fault.kind = FaultKind::kArchBug;
+    leg.fault.maxFires = 1;
     const auto fails = [&](const GenProgram& cand) {
-        FaultConfig fc;
-        fc.kind = FaultKind::kArchBug;
-        fc.seed = cand.seed;
-        fc.maxFires = 1;
-        return !runOne(cand, cfg, &fc, opt, &wd).ok();
+        return runLeg(leg, cand.link(), opt, wd).verdict() != kPass;
     };
     for (std::uint64_t s = opt.seed0; s < opt.seed0 + opt.seeds; ++s) {
         const GenProgram gp = generate(s);
+        leg.fault.seed = s;
         if (!fails(gp))
             continue;
         const ShrinkResult sh = shrinkProgram(gp, fails);
@@ -849,14 +698,11 @@ main(int argc, char** argv)
         return usage(); // the seed range would wrap
 
     try {
-        if (opt.shrinkDemo)
-            return shrinkDemo(opt) == 0 ? 0 : 1;
-        if (opt.engineDiff)
-            return engineSweep(opt) == 0 ? 0 : 1;
-        if (opt.optMode)
-            return optSweep(opt) == 0 ? 0 : 1;
-        const int bad =
-            opt.faults ? faultSweep(opt) : plainSweep(opt);
+        const int bad = opt.shrinkDemo   ? shrinkDemo(opt)
+                        : opt.engineDiff ? engineSweep(opt)
+                        : opt.optMode    ? optSweep(opt)
+                        : opt.faults     ? faultSweep(opt)
+                                         : plainSweep(opt);
         return bad == 0 ? 0 : 1;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "crisptorture: %s\n", e.what());
