@@ -21,14 +21,6 @@ struct BinInst
     int len = 0;
 };
 
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
-
 /**
  * Decode the text segment start to end, one instruction at a time.
  * Compiler output always decodes; a failure here is itself a finding.
@@ -42,7 +34,7 @@ linearDecode(const Program& prog, std::vector<BinInst>& out,
     while (pc < end) {
         const int len = instructionLength(prog.parcelAt(pc));
         if (pc + static_cast<Addr>(len) * kParcelBytes > end) {
-            problems.push_back(hexPc(pc) +
+            problems.push_back(hexAddr(pc) +
                                ": instruction runs past end of text");
             return false;
         }
@@ -142,7 +134,7 @@ verifyCompile(const cc::CompileResult& res,
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (items[i]->inst.op != bin[i].inst.op) {
             r.problems.push_back(
-                hexPc(bin[i].pc) + ": code item " + std::to_string(i) +
+                hexAddr(bin[i].pc) + ": code item " + std::to_string(i) +
                 " is " + std::string(opcodeName(items[i]->inst.op)) +
                 " but the binary decodes " +
                 std::string(opcodeName(bin[i].inst.op)));
@@ -160,14 +152,14 @@ verifyCompile(const cc::CompileResult& res,
         if (it == r.analysis.sites.end())
             continue; // unreachable after later passes: nothing claimed
         if (!it->second.conditional) {
-            r.problems.push_back(hexPc(pc) +
+            r.problems.push_back(hexAddr(pc) +
                                  ": spread claim on a branch the "
                                  "analyzer sees as unconditional");
             continue;
         }
         if (!it->second.guaranteedResolved) {
             r.problems.push_back(
-                hexPc(pc) +
+                hexAddr(pc) +
                 ": passSpread claims full spread but the analyzer "
                 "finds a path with too little separation");
             continue;
@@ -179,14 +171,14 @@ verifyCompile(const cc::CompileResult& res,
         // collapsing its static delay interval to [0, 0].
         const SiteCost* c = r.analysis.cost.find(pc);
         if (c == nullptr) {
-            r.problems.push_back(hexPc(pc) +
+            r.problems.push_back(hexAddr(pc) +
                                  ": spread-confirmed branch has no "
                                  "static cost bound");
             continue;
         }
         if (c->bound.lo != 0 || c->bound.hi != 0) {
             r.problems.push_back(
-                hexPc(pc) + ": spread-confirmed branch carries a [" +
+                hexAddr(pc) + ": spread-confirmed branch carries a [" +
                 std::to_string(c->bound.lo) + ", " +
                 std::to_string(c->bound.hi) +
                 "] delay bound; the cost engine should prove it free");
@@ -224,14 +216,14 @@ verifyCompile(const cc::CompileResult& res,
 
         if (!expect_foldable && s.cls != FoldClass::kLone) {
             r.problems.push_back(
-                hexPc(pc) +
+                hexAddr(pc) +
                 ": analyzer folds a branch the fold rules say has no "
                 "eligible carrier");
         }
         if (expect_foldable && r.analysis.cfg->has(bin[i - 1].pc) &&
             s.cls == FoldClass::kLone) {
             r.problems.push_back(
-                hexPc(pc) +
+                hexAddr(pc) +
                 ": branch has a reachable eligible carrier but the "
                 "analyzer never folds it");
         }

@@ -77,14 +77,6 @@ emit(std::vector<Diagnostic>& out, Severity sev, Addr pc,
     out.push_back(std::move(d));
 }
 
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
-
 void
 checkCfg(const Cfg& cfg, std::vector<Diagnostic>& diags)
 {
@@ -93,7 +85,7 @@ checkCfg(const Cfg& cfg, std::vector<Diagnostic>& diags)
     }
     for (const auto& [pc, target] : cfg.badTargets()) {
         emit(diags, Severity::kError, pc, "cfg.bad-target",
-             "branch target " + hexPc(target) +
+             "branch target " + hexAddr(target) +
                  " is outside the text segment or unaligned");
     }
     if (cfg.hasIndirect() && cfg.indirectTargets().empty()) {
@@ -106,7 +98,7 @@ checkCfg(const Cfg& cfg, std::vector<Diagnostic>& diags)
     for (const auto& [lo, hi] : cfg.unreachableRanges()) {
         std::ostringstream msg;
         msg << (hi - lo) / kParcelBytes << " unreachable parcel(s) at ["
-            << hexPc(lo) << ", " << hexPc(hi) << ")";
+            << hexAddr(lo) << ", " << hexAddr(hi) << ")";
         emit(diags, Severity::kWarning, lo, "cfg.unreachable", msg.str(),
              "dead code wastes DIC reach; let the peephole pass drop it");
     }
@@ -130,7 +122,7 @@ checkSpread(const Cfg& cfg, const std::map<Addr, SpreadInfo>& spread,
     for (const auto& [pc, s] : spread) {
         if (!s.guaranteedResolved) {
             std::ostringstream msg;
-            msg << "conditional branch at " << hexPc(s.branchPc)
+            msg << "conditional branch at " << hexAddr(s.branchPc)
                 << " has only " << s.issueSlots
                 << " issue slot(s) from its compare (needs "
                 << kResolveSlots << "); it may speculate";
@@ -260,7 +252,7 @@ checkCost(const Cfg& cfg, const std::map<Addr, BranchSite>& sites,
         if (have_tgt && dead.count(dead_tgt) != 0) {
             std::ostringstream dm;
             dm << "the " << (c.alwaysTaken ? "fall-through" : "target")
-               << " at " << hexPc(dead_tgt)
+               << " at " << hexAddr(dead_tgt)
                << " is unreachable once the constant branch is pruned";
             emit(diags, Severity::kInfo, pc, "cost.dead-branch",
                  dm.str(), "delete the dead path; it wastes DIC reach");
@@ -277,7 +269,7 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
         switch (d.kind) {
           case DeadKind::kMemStore:
             emit(diags, Severity::kInfo, d.pc, "dataflow.dead-store",
-                 "store to " + hexPc(d.addr) +
+                 "store to " + hexAddr(d.addr) +
                      " is dead: no path observes the value",
                  "delete the store; crispcc -O does");
             break;
@@ -299,7 +291,7 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
         emit(diags, Severity::kInfo, c.pc, "dataflow.redundant-copy",
              "copy is a no-op: the destination already holds the "
              "source value (established at " +
-                 hexPc(c.defPc) + ")",
+                 hexAddr(c.defPc) + ")",
              "delete the copy");
     }
 
@@ -314,8 +306,8 @@ checkDataflow(const Cfg& cfg, const SccpResult& sc,
         if (run_n == 0)
             return;
         std::ostringstream msg;
-        msg << run_n << " issue point(s) at [" << hexPc(run_lo) << ", "
-            << hexPc(run_end) << ") cannot execute once constant "
+        msg << run_n << " issue point(s) at [" << hexAddr(run_lo) << ", "
+            << hexAddr(run_end) << ") cannot execute once constant "
             << "branches are pruned";
         emit(diags, Severity::kInfo, run_lo,
              "dataflow.unreachable-after-constant-branch", msg.str(),
@@ -378,7 +370,7 @@ checkTargets(const CallGraph& cg, const TargetsResult& tr,
     for (const CgFunction* f : cg.unreachableFunctions()) {
         std::ostringstream msg;
         msg << "function "
-            << (f->name.empty() ? hexPc(f->entry) : f->name)
+            << (f->name.empty() ? hexAddr(f->entry) : f->name)
             << " is called from " << f->callers.size()
             << " site(s) but never reachable from the entry";
         emit(diags, Severity::kInfo, f->entry,
@@ -724,7 +716,7 @@ AnalysisResult::targetsTableText() const
                 tl << " ... (" << s.targets.size() << " total)";
                 break;
             }
-            tl << (shown ? " " : "") << hexPc(t);
+            tl << (shown ? " " : "") << hexAddr(t);
             ++shown;
         }
         if (s.invalidTargets)

@@ -16,18 +16,10 @@ namespace crisp::analysis
 namespace
 {
 
-std::string
-hexPc(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
-
 void
 mismatch(std::vector<std::string>& out, Addr pc, const std::string& what)
 {
-    out.push_back(hexPc(pc) + ": " + what);
+    out.push_back(hexAddr(pc) + ": " + what);
 }
 
 } // namespace
@@ -209,7 +201,7 @@ crossCheck(const AnalysisResult& st, const SimStats& dyn,
                 for (const Addr t : jt->second) {
                     if (st.cfg->indirectTargets().count(t) == 0) {
                         mismatch(r.mismatches, pc,
-                                 "indirect jump reached " + hexPc(t) +
+                                 "indirect jump reached " + hexAddr(t) +
                                      ", not in the static candidate "
                                      "set");
                     }
@@ -223,7 +215,7 @@ crossCheck(const AnalysisResult& st, const SimStats& dyn,
                         if (pv->second.targets.count(t) == 0) {
                             mismatch(r.targetViolations, pc,
                                      "indirect jump reached " +
-                                         hexPc(t) +
+                                         hexAddr(t) +
                                          ", outside its proven " +
                                          std::to_string(
                                              pv->second.targets

@@ -30,4 +30,10 @@ MemoryImage::load(const Program& prog)
         bytes_[prog.dataBase + i] = prog.data[i];
 }
 
+void
+MemoryImage::outOfRange(Addr a)
+{
+    throw CrispError("memory access out of range: " + hexAddr(a));
+}
+
 } // namespace crisp

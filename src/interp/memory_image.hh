@@ -91,12 +91,15 @@ class MemoryImage
     const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
   private:
+    /** Throw the fault for an access at @p a; kept out of line so the
+     *  inlined check() stays small on the hot read/write path. */
+    [[noreturn, gnu::cold]] static void outOfRange(Addr a);
+
     void
     check(Addr a, Addr n) const
     {
         if (a + n > bytes_.size() || a + n < a)
-            throw CrispError("memory access out of range: 0x" +
-                             std::to_string(a));
+            outOfRange(a);
     }
 
     std::vector<std::uint8_t> bytes_;

@@ -11,6 +11,7 @@
 #ifndef CRISP_ISA_TYPES_HH
 #define CRISP_ISA_TYPES_HH
 
+#include <charconv>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -60,6 +61,16 @@ class CrispError : public std::runtime_error
         : std::runtime_error(what)
     {}
 };
+
+/** "0x" and the lower-case hex digits of @p a, as messages print an
+ *  address. */
+inline std::string
+hexAddr(Addr a)
+{
+    char buf[2 + 8] = {'0', 'x'};
+    char* end = std::to_chars(buf + 2, buf + sizeof buf, a, 16).ptr;
+    return std::string(buf, end);
+}
 
 /** Sign-extend the low @p bits bits of @p value. */
 constexpr std::int32_t

@@ -336,16 +336,16 @@ CrispCpu::goldenDecodeAt(Addr pc, FoldPolicy policy) const
 {
     if (pc % kParcelBytes != 0 || !prog_.inText(pc)) {
         throw DicCorruptionError(
-            "DIC corruption: retiring entry claims PC 0x" +
-            std::to_string(pc) + " outside the text segment");
+            "DIC corruption: retiring entry claims PC " + hexAddr(pc) +
+            " outside the text segment");
     }
     // The same memoized tables the PDU decodes from: the golden
     // re-decode is a table lookup after the first retire at a PC.
     const PredecodeCache::Entry& e = predecode_.at(pc, policy);
     if (!e.valid) {
         throw DicCorruptionError(
-            "DIC corruption: no valid decode exists at PC 0x" +
-            std::to_string(pc));
+            "DIC corruption: no valid decode exists at PC " +
+            hexAddr(pc));
     }
     return e.di;
 }
@@ -407,9 +407,8 @@ CrispCpu::checkDecodedEntry(const DecodedInst& di) const
         return;
     throw DicCorruptionError(
         "DIC corruption detected at retire: cached entry [" +
-        di.toString() + "] is not a valid decode of the text at 0x" +
-        std::to_string(di.pc) + " (golden: [" + golden.toString() +
-        "])");
+        di.toString() + "] is not a valid decode of the text at " +
+        hexAddr(di.pc) + " (golden: [" + golden.toString() + "])");
 }
 
 void

@@ -1,40 +1,19 @@
 /**
  * @file
- * Workload sources and golden mirrors.
+ * Workload sources and their golden values.
  *
  * Every workload is deterministic: inputs are produced by an in-program
- * LCG, and a C++ mirror of each program computes the expected results
- * the simulators must reproduce (wraparound semantics match the ISA's
- * evalAlu: 32-bit two's-complement arithmetic, logical right shift).
+ * LCG and nothing is read from outside, so each program's final globals
+ * and return value are constants, written out in allWorkloads().
  */
 
 #include "workloads.hh"
-
-#include <cstdint>
 
 namespace crisp
 {
 
 namespace
 {
-
-using U = std::uint32_t;
-using I = std::int32_t;
-
-/** The LCG every workload uses. */
-I
-lcg(I& seed)
-{
-    seed = static_cast<I>(static_cast<U>(seed) * 1103515245u + 12345u);
-    return seed;
-}
-
-/** Logical right shift, as the ISA defines '>>'. */
-I
-shr(I x, int n)
-{
-    return static_cast<I>(static_cast<U>(x) >> n);
-}
 
 // ---------------------------------------------------------------- fig3
 
@@ -104,47 +83,6 @@ int main()
     return nwords;
 }
 )";
-
-void
-troffMirror(Workload& w)
-{
-    I seed = 42;
-    I nlines = 0, nwords = 0, nchars = 0, maxline = 0;
-    I inword = 0, linelen = 0;
-    auto nextc = [&]() -> I {
-        I r = shr(lcg(seed), 16) & 127;
-        if (r < 6)
-            return 10;
-        if (r < 24)
-            return 32;
-        return 97 + (r % 26);
-    };
-    for (I i = 0; i < 20000; ++i) {
-        const I c = nextc();
-        ++nchars;
-        if (c == 10) {
-            ++nlines;
-            if (linelen > maxline)
-                maxline = linelen;
-            linelen = 0;
-            inword = 0;
-        } else {
-            ++linelen;
-            if (c == 32) {
-                inword = 0;
-            } else if (!inword) {
-                inword = 1;
-                ++nwords;
-            }
-        }
-    }
-    w.expectedGlobals = {{"nlines", nlines},
-                         {"nwords", nwords},
-                         {"nchars", nchars},
-                         {"maxline", maxline}};
-    w.checkAccum = true;
-    w.expectedAccum = nwords;
-}
 
 // --------------------------------------------------------------- ccomp
 
@@ -217,66 +155,6 @@ int main()
 }
 )";
 
-void
-ccompMirror(Workload& w)
-{
-    I seed = 7;
-    I symtab[64];
-    I symcount = 0, lookups = 0, inserts = 0, emitted = 0;
-    auto lookup = [&](I key) -> I {
-        for (I i = 0; i < symcount; ++i) {
-            if (symtab[i] == key)
-                return i;
-        }
-        return -1;
-    };
-    for (I t = 0; t < 6000; ++t) {
-        lcg(seed);
-        const I phase = shr(t, 9) & 1;
-        const I mask = phase ? 15 : 63;
-        const I k = shr(seed, 16) & mask;
-        I idx = -1;
-        if ((t & 3) == 0) {
-            idx = lookup(k);
-            ++lookups;
-        }
-        if (idx < 0) {
-            if (symcount < 64) {
-                symtab[symcount] = k;
-                ++symcount;
-                ++inserts;
-            }
-        } else {
-            emitted = emitted + idx;
-        }
-        if (phase) {
-            if (k & 1)
-                ++emitted;
-        } else {
-            if (k & 3)
-                --emitted;
-        }
-        if (shr(seed, 17) & 1)
-            emitted = emitted + 2;
-        else
-            emitted = emitted - 1;
-        if (shr(seed, 21) & 1)
-            lookups = lookups + 1;
-        if (t & 512)
-            inserts = inserts + 0;
-        else
-            emitted = emitted ^ 1;
-        if ((shr(t, 7) & 1) == 0)
-            emitted = emitted + 3;
-    }
-    w.expectedGlobals = {{"symcount", symcount},
-                         {"lookups", lookups},
-                         {"inserts", inserts},
-                         {"emitted", emitted}};
-    w.checkAccum = true;
-    w.expectedAccum = emitted;
-}
-
 // ----------------------------------------------------------------- drc
 
 const char* kDrc = R"(
@@ -320,37 +198,6 @@ int main()
     return violations;
 }
 )";
-
-void
-drcMirror(Workload& w)
-{
-    I seed = 12345;
-    const I n = 200;
-    I xlo[200], xhi[200], ylo[200], yhi[200];
-    I violations = 0, checks = 0;
-    for (I i = 0; i < n; ++i) {
-        I r = shr(lcg(seed), 16) & 32767;
-        xlo[i] = r % 1000;
-        r = shr(lcg(seed), 16) & 32767;
-        xhi[i] = xlo[i] + 1 + (r % 20);
-        r = shr(lcg(seed), 16) & 32767;
-        ylo[i] = r % 1000;
-        r = shr(lcg(seed), 16) & 32767;
-        yhi[i] = ylo[i] + 1 + (r % 20);
-    }
-    for (I i = 1; i < n; ++i) {
-        for (I j = 0; j < i; ++j) {
-            ++checks;
-            if (xlo[i] < xhi[j] && xlo[j] < xhi[i] && ylo[i] < yhi[j] &&
-                ylo[j] < yhi[i]) {
-                ++violations;
-            }
-        }
-    }
-    w.expectedGlobals = {{"violations", violations}, {"checks", checks}};
-    w.checkAccum = true;
-    w.expectedAccum = violations;
-}
 
 // ---------------------------------------------------------------- dhry
 
@@ -403,37 +250,6 @@ int main()
 }
 )";
 
-void
-dhryMirror(Workload& w)
-{
-    I arr1[50], arr2[50];
-    I total = 0;
-    auto intcomp = [](I a, I b) { return a > b ? a - b : b - a; };
-    auto func2 = [](I x) { return (x & 1) ? x * 3 + 1 : x / 2; };
-    for (I run = 0; run < 300; ++run) {
-        for (I i = 0; i < 50; ++i)
-            arr1[i] = i + run;
-        for (I i = 0; i < 50; ++i)
-            arr2[i] = arr1[i] * 2;
-        I x = 0;
-        I y = 0;
-        for (I i = 0; i < 50; ++i) {
-            if (arr2[i] > arr1[i])
-                x = x + intcomp(arr1[i], arr2[i]);
-            if (i & 1)
-                y = func2(i);
-            else
-                y = func2(i + run);
-            if ((i >> 1) & 1)
-                ++total;
-            total = total + (x & 7) - (y & 3);
-        }
-    }
-    w.expectedGlobals = {{"total", total}};
-    w.checkAccum = true;
-    w.expectedAccum = total & 65535;
-}
-
 // --------------------------------------------------------------- cwhet
 
 const char* kCwhet = R"(
@@ -461,31 +277,6 @@ int main()
     return acc & 1048575;
 }
 )";
-
-void
-cwhetMirror(Workload& w)
-{
-    I acc = 0;
-    for (I i = 1; i <= 3000; ++i) {
-        const I x = i & 1023;
-        I t = ((x * x) & 4095) - x;
-        if (i % 3 == 0)
-            acc = static_cast<I>(static_cast<U>(acc) +
-                                 static_cast<U>(t));
-        else
-            acc = static_cast<I>(static_cast<U>(acc) -
-                                 static_cast<U>(shr(t, 1)));
-        if (i & 1)
-            acc ^= x;
-        for (I j = 0; j < 8; ++j)
-            t = (t * 3 + 7) & 8191;
-        acc = static_cast<I>(static_cast<U>(acc) +
-                             static_cast<U>(t & 15));
-    }
-    w.expectedGlobals = {{"acc", acc}};
-    w.checkAccum = true;
-    w.expectedAccum = acc & 1048575;
-}
 
 // -------------------------------------------------------------- puzzle
 
@@ -529,40 +320,6 @@ int main()
 }
 )";
 
-void
-puzzleMirror(Workload& w)
-{
-    I colfree[16] = {};
-    I diag1[32] = {};
-    I diag2[32] = {};
-    I solutions = 0, nodes = 0;
-    const I n = 8;
-    auto place = [&](auto&& self, I row) -> void {
-        if (row == n) {
-            ++solutions;
-            return;
-        }
-        for (I c = 0; c < n; ++c) {
-            if (colfree[c] == 0 && diag1[row + c] == 0 &&
-                diag2[row - c + n] == 0) {
-                colfree[c] = 1;
-                diag1[row + c] = 1;
-                diag2[row - c + n] = 1;
-                ++nodes;
-                self(self, row + 1);
-                colfree[c] = 0;
-                diag1[row + c] = 0;
-                diag2[row - c + n] = 0;
-            }
-        }
-    };
-    place(place, 0);
-    w.expectedGlobals = {{"solutions", solutions}, {"nodes", nodes}};
-    w.checkAccum = true;
-    w.expectedAccum = solutions;
-}
-
-
 // --------------------------------------------------------------- sieve
 
 const char* kSieve = R"(
@@ -589,27 +346,6 @@ int main()
     return nprimes;
 }
 )";
-
-void
-sieveMirror(Workload& w)
-{
-    static I flags[4000];
-    const I n = 4000;
-    I nprimes = 0, lastprime = 0;
-    for (I i = 2; i < n; ++i)
-        flags[i] = 1;
-    for (I i = 2; i < n; ++i) {
-        if (flags[i]) {
-            ++nprimes;
-            lastprime = i;
-            for (I k = i + i; k < n; k += i)
-                flags[k] = 0;
-        }
-    }
-    w.expectedGlobals = {{"nprimes", nprimes}, {"lastprime", lastprime}};
-    w.checkAccum = true;
-    w.expectedAccum = nprimes;
-}
 
 // ---------------------------------------------------------------- sort
 
@@ -645,36 +381,6 @@ int main()
 }
 )";
 
-void
-sortMirror(Workload& w)
-{
-    I data[150];
-    const I n = 150;
-    I seed = 99;
-    I swaps = 0;
-    for (I i = 0; i < n; ++i)
-        data[i] = shr(lcg(seed), 16) & 1023;
-    for (I i = 0; i < n - 1; ++i) {
-        for (I j = 0; j < n - 1 - i; ++j) {
-            if (data[j] > data[j + 1]) {
-                const I t = data[j];
-                data[j] = data[j + 1];
-                data[j + 1] = t;
-                ++swaps;
-            }
-        }
-    }
-    I checksum = 0;
-    for (I i = 0; i < n; ++i) {
-        checksum = static_cast<I>(
-            (static_cast<U>(checksum) * 31u + static_cast<U>(data[i])) &
-            1048575u);
-    }
-    w.expectedGlobals = {{"swaps", swaps}, {"checksum", checksum}};
-    w.checkAccum = true;
-    w.expectedAccum = checksum;
-}
-
 // -------------------------------------------------------------- matmul
 
 const char* kMatmul = R"(
@@ -709,32 +415,6 @@ int main()
     return trace;
 }
 )";
-
-void
-matmulMirror(Workload& w)
-{
-    I ma[144], mb[144], mc[144];
-    const I n = 12;
-    I seed = 5;
-    for (I i = 0; i < n * n; ++i) {
-        ma[i] = shr(lcg(seed), 16) & 63;
-        mb[i] = shr(lcg(seed), 16) & 63;
-    }
-    for (I i = 0; i < n; ++i) {
-        for (I j = 0; j < n; ++j) {
-            I acc = 0;
-            for (I k = 0; k < n; ++k)
-                acc += ma[i * n + k] * mb[k * n + j];
-            mc[i * n + j] = acc;
-        }
-    }
-    I trace = 0;
-    for (I i = 0; i < n; ++i)
-        trace += mc[i * n + i];
-    w.expectedGlobals = {{"trace", trace}};
-    w.checkAccum = true;
-    w.expectedAccum = trace;
-}
 
 // ---------------------------------------------------------------- crc8
 
@@ -774,34 +454,6 @@ int main()
 }
 )";
 
-void
-crc8Mirror(Workload& w)
-{
-    I seed = 7;
-    I c = 0;
-    I bad = 0;
-    const I lim = 255;
-    const I n = 96;
-    for (I i = 0; i < n; ++i) {
-        const I b = shr(lcg(seed), 16) & 255;
-        if (b > lim)
-            bad = bad + 1;
-        c = c ^ b;
-        for (I k = 0; k < 8; ++k) {
-            if (c & 1)
-                c = shr(c, 1) ^ 140;
-            else
-                c = shr(c, 1);
-        }
-        c = c & 255;
-        if (c > lim)
-            bad = bad + 3;
-    }
-    w.expectedGlobals = {{"crc", c}, {"bad", bad}};
-    w.checkAccum = true;
-    w.expectedAccum = c;
-}
-
 // --------------------------------------------------------------- quant
 
 const char* kQuant = R"(
@@ -837,31 +489,6 @@ int main()
     return acc & 65535;
 }
 )";
-
-void
-quantMirror(Workload& w)
-{
-    I seed = 3;
-    I acc = 0;
-    I clips = 0;
-    const I limit = 4095;
-    const I n = 80;
-    for (I i = 0; i < n; ++i) {
-        I v = shr(lcg(seed), 16) & 2047;
-        I clip = 0;
-        if (v > limit)
-            clip = 1;
-        if (clip) {
-            clips = clips + 1;
-            v = limit;
-        }
-        const I q = shr(v, 4);
-        acc = static_cast<I>(static_cast<U>(acc) + static_cast<U>(q));
-    }
-    w.expectedGlobals = {{"acc", acc}, {"clips", clips}};
-    w.checkAccum = true;
-    w.expectedAccum = acc & 65535;
-}
 
 // ----------------------------------------------------------------- lex
 
@@ -900,29 +527,6 @@ int main()
     return ntok;
 }
 )";
-
-void
-lexMirror(Workload& w)
-{
-    I seed = 11;
-    I ntok = 0;
-    I nskip = 0;
-    I state = 0;
-    const I n = 200;
-    for (I i = 0; i < n; ++i) {
-        const I ch = shr(lcg(seed), 16) & 127;
-        if (ch < 33) {
-            state = 0;
-        } else {
-            if (state == 0)
-                ntok = ntok + 1;
-            state = 1;
-        }
-    }
-    w.expectedGlobals = {{"ntok", ntok}, {"nskip", nskip}};
-    w.checkAccum = true;
-    w.expectedAccum = ntok;
-}
 
 // ------------------------------------------------------------- vmtrace
 
@@ -963,29 +567,6 @@ int main()
 }
 )";
 
-void
-vmtraceMirror(Workload& w)
-{
-    I acc = 0;
-    I steps = 0;
-    const I n = 96;
-    for (I pc = 0; pc < n; ++pc) {
-        const I op = pc % 4;
-        if (op == 0)
-            acc = acc + 1;
-        else if (op == 1)
-            acc = acc + pc;
-        else if (op == 2)
-            acc = acc - 1;
-        else
-            acc = acc + 2;
-        steps = steps + 1;
-    }
-    w.expectedGlobals = {{"acc", acc}, {"steps", steps}};
-    w.checkAccum = true;
-    w.expectedAccum = acc & 65535;
-}
-
 // -------------------------------------------------------------- vmmode
 
 const char* kVmmode = R"(
@@ -1014,18 +595,6 @@ int main()
 }
 )";
 
-void
-vmmodeMirror(Workload& w)
-{
-    I acc = 0;
-    const I n = 120;
-    for (I i = 0; i < n; ++i)
-        acc = acc + i;
-    w.expectedGlobals = {{"acc", acc}, {"mode", 2}};
-    w.checkAccum = true;
-    w.expectedAccum = acc & 65535;
-}
-
 } // namespace
 
 std::string
@@ -1041,148 +610,125 @@ fig3Source(int loops)
 Word
 fig3Expected(int loops)
 {
-    U sum = 0;
-    for (I i = 0; i < loops; ++i)
-        sum += static_cast<U>(i);
+    UWord sum = 0;
+    for (int i = 0; i < loops; ++i)
+        sum += static_cast<UWord>(i);
     return static_cast<Word>(sum);
 }
 
 const std::vector<Workload>&
 allWorkloads()
 {
-    static const std::vector<Workload> workloads = [] {
-        std::vector<Workload> ws;
-
-        {
-            Workload w;
-            w.name = "fig3";
-            w.description = "the paper's Figure 3 loop (1024 iterations)";
-            w.source = fig3Source(1024);
-            w.checkAccum = true;
-            w.expectedAccum = fig3Expected(1024);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "troff";
-            w.description = "text-processor proxy (skewed branches)";
-            w.source = kTroff;
-            troffMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "ccomp";
-            w.description = "C-compiler proxy (phased, irregular "
-                            "branches)";
-            w.source = kCcomp;
-            ccompMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "drc";
-            w.description = "VLSI design-rule-check proxy (skewed "
-                            "comparisons)";
-            w.source = kDrc;
-            drcMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "dhry";
-            w.description = "Dhrystone proxy (alternating condition)";
-            w.source = kDhry;
-            dhryMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "cwhet";
-            w.description = "integer Whetstone proxy";
-            w.source = kCwhet;
-            cwhetMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "sieve";
-            w.description = "sieve of Eratosthenes (4000)";
-            w.source = kSieve;
-            sieveMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "sort";
-            w.description = "bubble sort, 150 LCG elements";
-            w.source = kSort;
-            sortMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "matmul";
-            w.description = "12x12 integer matrix multiply";
-            w.source = kMatmul;
-            matmulMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "puzzle";
-            w.description = "Puzzle proxy: 8-queens backtracking";
-            w.source = kPuzzle;
-            puzzleMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "crc8";
-            w.description = "CRC-8 kernel with never-taken range "
-                            "guards";
-            w.source = kCrc8;
-            crc8Mirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "quant";
-            w.description = "fixed-point quantizer with a correlated "
-                            "clip cascade (SCCP-only)";
-            w.source = kQuant;
-            quantMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "lex";
-            w.description = "call-free scanner with a disabled debug "
-                            "mode";
-            w.source = kLex;
-            lexMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "vmtrace";
-            w.description = "byte-coded VM with a live dense dispatch "
-                            "and a dead trace decoder";
-            w.source = kVmtrace;
-            vmtraceMirror(w);
-            ws.push_back(std::move(w));
-        }
-        {
-            Workload w;
-            w.name = "vmmode";
-            w.description = "mode-dispatched filter whose jump table "
-                            "devirtualizes to a direct branch";
-            w.source = kVmmode;
-            vmmodeMirror(w);
-            ws.push_back(std::move(w));
-        }
-        return ws;
-    }();
+    // The golden values are literals. They were computed by a C++
+    // re-implementation of each source (32-bit wraparound arithmetic
+    // and logical right shift, as the ISA's evalAlu defines them) that
+    // shares no code with crispcc or any engine, and frozen here. A
+    // changed source needs its values re-derived the same way, never
+    // read back from a binary crispcc built, or the check turns into
+    // crispcc compared with itself. The reference evaluator over
+    // cc/ast.hh that ROADMAP.md plans (item 6) is meant for that.
+    static const std::vector<Workload> workloads = {
+        {.name = "fig3",
+         .description = "the paper's Figure 3 loop (1024 iterations)",
+         .source = fig3Source(1024),
+         .expectedGlobals = {},
+         .checkAccum = true,
+         .expectedAccum = fig3Expected(1024)},
+        {.name = "troff",
+         .description = "text-processor proxy (skewed branches)",
+         .source = kTroff,
+         .expectedGlobals = {{"nlines", 965},
+                             {"nwords", 3037},
+                             {"nchars", 20000},
+                             {"maxline", 125}},
+         .checkAccum = true,
+         .expectedAccum = 3037},
+        {.name = "ccomp",
+         .description = "C-compiler proxy (phased, irregular branches)",
+         .source = kCcomp,
+         .expectedGlobals = {{"symcount", 64},
+                             {"lookups", 4430},
+                             {"inserts", 64},
+                             {"emitted", 34685}},
+         .checkAccum = true,
+         .expectedAccum = 34685},
+        {.name = "drc",
+         .description = "VLSI design-rule-check proxy (skewed "
+                        "comparisons)",
+         .source = kDrc,
+         .expectedGlobals = {{"violations", 7}, {"checks", 19900}},
+         .checkAccum = true,
+         .expectedAccum = 7},
+        {.name = "dhry",
+         .description = "Dhrystone proxy (alternating condition)",
+         .source = kDhry,
+         .expectedGlobals = {{"total", 43269}},
+         .checkAccum = true,
+         .expectedAccum = 43269},
+        {.name = "cwhet",
+         .description = "integer Whetstone proxy",
+         .source = kCwhet,
+         .expectedGlobals = {{"acc", -2676}},
+         .checkAccum = true,
+         .expectedAccum = 1045900},
+        {.name = "sieve",
+         .description = "sieve of Eratosthenes (4000)",
+         .source = kSieve,
+         .expectedGlobals = {{"nprimes", 550}, {"lastprime", 3989}},
+         .checkAccum = true,
+         .expectedAccum = 550},
+        {.name = "sort",
+         .description = "bubble sort, 150 LCG elements",
+         .source = kSort,
+         .expectedGlobals = {{"swaps", 5513}, {"checksum", 743803}},
+         .checkAccum = true,
+         .expectedAccum = 743803},
+        {.name = "matmul",
+         .description = "12x12 integer matrix multiply",
+         .source = kMatmul,
+         .expectedGlobals = {{"trace", 138818}},
+         .checkAccum = true,
+         .expectedAccum = 138818},
+        {.name = "puzzle",
+         .description = "Puzzle proxy: 8-queens backtracking",
+         .source = kPuzzle,
+         .expectedGlobals = {{"solutions", 92}, {"nodes", 2056}},
+         .checkAccum = true,
+         .expectedAccum = 92},
+        {.name = "crc8",
+         .description = "CRC-8 kernel with never-taken range guards",
+         .source = kCrc8,
+         .expectedGlobals = {{"crc", 68}, {"bad", 0}},
+         .checkAccum = true,
+         .expectedAccum = 68},
+        {.name = "quant",
+         .description = "fixed-point quantizer with a correlated clip "
+                        "cascade (SCCP-only)",
+         .source = kQuant,
+         .expectedGlobals = {{"acc", 4626}, {"clips", 0}},
+         .checkAccum = true,
+         .expectedAccum = 4626},
+        {.name = "lex",
+         .description = "call-free scanner with a disabled debug mode",
+         .source = kLex,
+         .expectedGlobals = {{"ntok", 33}, {"nskip", 0}},
+         .checkAccum = true,
+         .expectedAccum = 33},
+        {.name = "vmtrace",
+         .description = "byte-coded VM with a live dense dispatch and a "
+                        "dead trace decoder",
+         .source = kVmtrace,
+         .expectedGlobals = {{"acc", 1176}, {"steps", 96}},
+         .checkAccum = true,
+         .expectedAccum = 1176},
+        {.name = "vmmode",
+         .description = "mode-dispatched filter whose jump table "
+                        "devirtualizes to a direct branch",
+         .source = kVmmode,
+         .expectedGlobals = {{"acc", 7140}, {"mode", 2}},
+         .checkAccum = true,
+         .expectedAccum = 7140},
+    };
     return workloads;
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
  * The workload suite: CRISP-C sources for every program used in the
- * paper's evaluation, plus golden results computed by C++ mirrors.
+ * paper's evaluation, plus the golden results every engine must
+ * reproduce, kept as literal values (see allWorkloads() for where they
+ * came from).
  *
  * Substitutions (documented in DESIGN.md): the paper's three large
  * programs (troff, the C compiler, a VLSI design-rule checker) and the
@@ -39,7 +41,7 @@ struct Workload
     std::string name;
     std::string description;
     std::string source;
-    /** Expected final value of specific globals (golden C++ mirror). */
+    /** Expected final value of specific globals (golden literals). */
     std::vector<std::pair<std::string, Word>> expectedGlobals;
     /** Expected accumulator (main's return value); checked if set. */
     bool checkAccum = false;

@@ -3,15 +3,17 @@
  * FastEngine tests: the 200-seed x 3-policy three-way differential
  * (fast engine vs. interpreter vs. cycle pipeline), translation-layer
  * superblock structure, and directed tests for the engine's contracts —
- * cancel at superblock boundaries, stores into the text window, shared
- * translations, and the instruction budget.
+ * cancel at superblock boundaries, stores into the text window, fault
+ * messages, shared translations, and the instruction budget.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <sstream>
 
+#include "cc/compiler.hh"
 #include "interp/interpreter.hh"
 #include "sim/cpu.hh"
 #include "sim/fastengine.hh"
@@ -292,6 +294,37 @@ TEST(FastEngine, StoreIntoTextMatchesOnEveryEngine)
         EXPECT_EQ(eng->memory().bytes(), interp.memory().bytes());
     }
     EXPECT_EQ(shared.stats(), priv.stats());
+}
+
+TEST(FastEngine, OutOfRangeFaultNamesHexAddressOnEveryEngine)
+{
+    // A load far past the end of memory. The interpreter throws; the
+    // cycle machine and the fast engine record the fault. All three
+    // give one reason, naming the faulting address in hex.
+    const Program p =
+        cc::compile("int a[4];\nint main() { return a[1000000]; }\n")
+            .program;
+    const auto base = p.lookup("a");
+    ASSERT_TRUE(base.has_value());
+    std::ostringstream want;
+    want << "memory access out of range: 0x" << std::hex
+         << *base + 4 * 1'000'000;
+
+    std::string interp_reason;
+    try {
+        Interpreter(p).run();
+    } catch (const CrispError& e) {
+        interp_reason = e.what();
+    }
+    EXPECT_EQ(interp_reason, want.str());
+
+    CrispCpu cpu(p);
+    EXPECT_TRUE(cpu.run().faulted);
+    EXPECT_EQ(cpu.stats().faultReason, want.str());
+
+    FastEngine fast(p);
+    EXPECT_TRUE(fast.run().faulted);
+    EXPECT_EQ(fast.stats().faultReason, want.str());
 }
 
 // ---------------------------------------- directed: straight-line runs

@@ -37,19 +37,19 @@ flag(const std::string& arg, const char* key)
 }
 
 /**
- * Parse all of @p text as a decimal integer in [@p lo, @p hi] into
- * @p out. @return false, leaving @p out untouched, when the text is
- * empty, has anything but digits (a sign only where T is signed), or
- * lies outside the range.
+ * Parse all of @p text as an integer in @p base (decimal by default)
+ * in [@p lo, @p hi] into @p out. @return false, leaving @p out
+ * untouched, when the text is empty, has anything but digits (a sign
+ * only where T is signed), or lies outside the range.
  */
 template <class T>
 bool
 parseInt(const char* text, T& out, std::type_identity_t<T> lo,
-         std::type_identity_t<T> hi)
+         std::type_identity_t<T> hi, int base = 10)
 {
     const char* end = text + std::strlen(text);
     T v{};
-    const auto [stop, ec] = std::from_chars(text, end, v);
+    const auto [stop, ec] = std::from_chars(text, end, v, base);
     if (ec != std::errc{} || stop != end || v < lo || v > hi)
         return false;
     out = v;

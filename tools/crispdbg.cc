@@ -7,13 +7,17 @@
  * Commands (also shown by `h`):
  *   s [n]        step n cycles (default 1), printing the trace line
  *   n [k]        run until k more architectural instructions retire
- *   b <sym|hex>  set a breakpoint on instruction retirement
+ *   b <addr>     set a breakpoint on instruction retirement
  *   B            list breakpoints        d <idx>   delete breakpoint
  *   c            continue to breakpoint / halt
  *   p            print machine state     i         full statistics
- *   x <sym|hex> [n]   dump n memory words
- *   l [sym|hex]  disassemble around an address (default: IR.Next-PC)
+ *   x <addr> [n] dump n memory words
+ *   l [addr]     disassemble around an address (default: IR.Next-PC)
  *   q            quit
+ *
+ * An address is a symbol name or a whole decimal or 0x-hex number
+ * that fits in 32 bits. A command that faults (a dump past the end of
+ * memory, say) prints the error and the session goes on.
  *
  * Because architectural effects happen at retirement, breakpoints fire
  * with precise state: everything older has executed, nothing younger
@@ -78,13 +82,18 @@ class Debugger
             std::fflush(stdout);
             if (!std::getline(std::cin, line))
                 break;
-            if (!dispatch(line))
-                break;
+            try {
+                if (!dispatch(line))
+                    break;
+            } catch (const CrispError& e) {
+                std::printf("error: %s\n", e.what());
+            }
         }
     }
 
   private:
-    /** Parse an address: symbol name or hex/decimal literal. */
+    /** Parse an address: a symbol name, or all of a decimal or 0x-hex
+     *  number no larger than 0xffffffff. */
     bool
     parseAddr(const std::string& tok, Addr& out) const
     {
@@ -92,12 +101,10 @@ class Debugger
             out = *sym;
             return true;
         }
-        try {
-            out = static_cast<Addr>(std::stoul(tok, nullptr, 0));
-            return true;
-        } catch (...) {
-            return false;
-        }
+        const Addr max = 0xffffffff;
+        if (tok.starts_with("0x"))
+            return cli::parseInt(tok.c_str() + 2, out, 0, max, 16);
+        return cli::parseInt(tok.c_str(), out, 0, max);
     }
 
     void
