@@ -72,6 +72,9 @@ class DelayedBranchCpu
 
     const DelayedStats& run(std::uint64_t max_steps = 500'000'000);
 
+    /** The next instruction to execute; after a fault out of run(),
+     *  the one that faulted (for a fault in a delay slot, its branch). */
+    Addr pc() const { return pc_; }
     Addr sp() const { return sp_; }
     Word accum() const { return accum_; }
     bool flag() const { return flag_; }

@@ -21,6 +21,12 @@ namespace crisp
 /**
  * Little-endian flat memory. Text and data segments are copied in from
  * a Program; the stack occupies the top of the image.
+ *
+ * A released image's buffer (up to 1 MiB) goes to a stash of at most
+ * two per thread, and load() takes one from there before it allocates:
+ * a lockstep leg builds two machines per short run, and a fresh image
+ * then zero-fills pages that are already mapped instead of faulting in
+ * new ones. Under ASan a stashed buffer is poisoned until reused.
  */
 class MemoryImage
 {
@@ -30,7 +36,17 @@ class MemoryImage
     /** Construct an image sized and initialized from @p prog. */
     explicit MemoryImage(const Program& prog) { load(prog); }
 
-    /** (Re)initialize from a program. */
+    MemoryImage(const MemoryImage&) = default;
+    MemoryImage(MemoryImage&&) noexcept = default;
+    MemoryImage& operator=(const MemoryImage&) = default;
+    MemoryImage& operator=(MemoryImage&&) noexcept = default;
+
+    /** Stash the buffer for this thread's next load(); never allocates
+     *  or throws. */
+    ~MemoryImage();
+
+    /** (Re)initialize from a program: size() becomes prog.memBytes and
+     *  every byte outside the text and data segments is zero. */
     void load(const Program& prog);
 
     Addr size() const { return static_cast<Addr>(bytes_.size()); }

@@ -5,6 +5,7 @@
 
 #include "reference.hh"
 
+#include <algorithm>
 #include <sstream>
 
 namespace crisp::verify
@@ -67,15 +68,13 @@ checkFinalState(const Reference& ref, const EngineState& eng,
     if (ms.size() != mi.size()) {
         diff << "memory size " << ms.size() << " != " << mi.size()
              << "; ";
-    } else {
-        for (std::size_t a = 0; a < ms.size(); ++a) {
-            if (ms[a] != mi[a]) {
-                diff << "memory[0x" << std::hex << a << "] 0x"
-                     << static_cast<int>(ms[a]) << " != 0x"
-                     << static_cast<int>(mi[a]) << std::dec << "; ";
-                break;
-            }
-        }
+    } else if (ms != mi) {
+        // One memcmp clears the usual equal images; only a mismatch
+        // walks the bytes, to name the first differing address.
+        const auto [s, i] = std::mismatch(ms.begin(), ms.end(), mi.begin());
+        diff << "memory[0x" << std::hex << (s - ms.begin()) << "] 0x"
+             << static_cast<int>(*s) << " != 0x" << static_cast<int>(*i)
+             << std::dec << "; ";
     }
     const std::string d = diff.str();
     if (!d.empty()) {

@@ -6,8 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "asm/assembler.hh"
 #include "interp/interpreter.hh"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CRISP_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CRISP_TEST_ASAN 1
+#endif
+#endif
 
 namespace crisp
 {
@@ -299,6 +310,94 @@ TEST(MemoryImage, LittleEndian)
     EXPECT_EQ(m.read32(0x8000), 0xA1B2C3D4u);
     // The text parcel landed at the text base.
     EXPECT_EQ(m.read16(kTextBase), 0x1234);
+}
+
+/** A program that writes the top of its stack and a word near the top
+ *  of a 256 KiB image, with @p mem_bytes of memory. */
+Program
+highWriter(Addr mem_bytes)
+{
+    Program p = assemble(R"(
+        .entry s
+        .global g 7
+s:      call fn
+        mov @0x3FF00, -1
+        halt
+fn:     enter 1
+        mov sp[0], -1
+        return 1
+    )");
+    p.memBytes = mem_bytes;
+    return p;
+}
+
+/** @p p's image built byte by byte: text parcels and data in place,
+ *  zero everywhere else. */
+std::vector<std::uint8_t>
+freshImage(const Program& p)
+{
+    std::vector<std::uint8_t> want(p.memBytes, 0);
+    for (std::size_t i = 0; i < p.text.size(); ++i) {
+        want[p.textBase + 2 * i] = static_cast<std::uint8_t>(p.text[i]);
+        want[p.textBase + 2 * i + 1] =
+            static_cast<std::uint8_t>(p.text[i] >> 8);
+    }
+    std::copy(p.data.begin(), p.data.end(), want.begin() + p.dataBase);
+    return want;
+}
+
+TEST(MemoryImage, ReusedBufferLoadsLikeAFreshOne)
+{
+    // A one-byte image takes any stashed buffer, so two of them empty
+    // this thread's stash. The two machines built next, as in a
+    // lockstep leg, then refill it with buffers they wrote, and a
+    // machine of the other size must see none of what they wrote.
+    Program tiny;
+    tiny.textBase = 0;
+    tiny.dataBase = 0;
+    tiny.memBytes = 1;
+    const std::pair<Addr, Addr> sizes[] = {{0x80000, 0x40000},
+                                           {0x40000, 0x80000}};
+    for (const auto& [first, next] : sizes) {
+        const Program dirty = highWriter(first);
+        {
+            const MemoryImage hold1(tiny);
+            const MemoryImage hold2(tiny);
+            Interpreter a(dirty);
+            Interpreter b(dirty);
+            a.run();
+            b.run();
+            ASSERT_TRUE(a.halted() && b.halted());
+            ASSERT_EQ(a.memory().read32(0x3FF00), 0xFFFFFFFFu);
+        }
+        const Program clean = highWriter(next);
+        const Interpreter m(clean);
+        const std::vector<std::uint8_t> want = freshImage(clean);
+        const auto& got = m.memory().bytes();
+        ASSERT_EQ(got.size(), want.size()) << first << " -> " << next;
+        const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+        EXPECT_TRUE(diff.first == got.end())
+            << first << " -> " << next << ": byte 0x" << std::hex
+            << (diff.first - got.begin()) << " is stale";
+        EXPECT_NO_THROW(m.memory().read32(next - 4));
+        EXPECT_THROW(m.memory().read32(next), CrispError);
+    }
+}
+
+TEST(MemoryImageDeathTest, ReleasedBufferIsPoisonedUnderAsan)
+{
+#ifndef CRISP_TEST_ASAN
+    GTEST_SKIP() << "needs AddressSanitizer";
+#else
+    // The stash keeps the buffer alive, so only its poisoning lets
+    // ASan see a read through a destroyed machine's image.
+    const volatile std::uint8_t* stale = nullptr;
+    {
+        const Interpreter m(highWriter(kDefaultMemBytes));
+        stale = m.memory().bytes().data();
+    }
+    EXPECT_DEATH((void)stale[kTextBase], "AddressSanitizer");
+#endif
 }
 
 } // namespace

@@ -18,12 +18,16 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "interp/trace.hh"
 #include "sim/cpu.hh"
 #include "sim/predecode.hh"
+#include "verify/enginediff.hh"
 #include "verify/generator.hh"
+#include "verify/lockstep.hh"
 
 namespace
 {
@@ -222,6 +226,41 @@ TEST(PredecodeCache, RejectsBadAddresses)
                  CrispError);
     EXPECT_THROW(cache.at(prog.textEnd(), FoldPolicy::kCrisp),
                  CrispError);
+}
+
+/** Minor page faults this thread has taken so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return ru.ru_minflt;
+}
+
+/** A lockstep runner builds and drops two 256 KiB images per call;
+ *  the per-thread stash of released buffers lets the next call reuse
+ *  both, so short legs stop faulting fresh pages in (26.6 faults per
+ *  call without the stash, 0.17 with it). A count, not a time, so host
+ *  noise does not move it. */
+TEST(PerfPaths, LockstepLegsReuseTheirImages)
+{
+#ifdef CRISP_SANITIZED
+    GTEST_SKIP() << "sanitizers replace the allocator";
+#endif
+    std::vector<Program> progs;
+    for (std::uint64_t s = 1; s <= 100; ++s)
+        progs.push_back(generate(s).link());
+    ASSERT_TRUE(verify::runLockstep(progs[0]).ok());
+    ASSERT_TRUE(verify::runFastLockstep(progs[0]).ok());
+
+    const long before = minorFaults();
+    for (const Program& prog : progs) {
+        ASSERT_TRUE(verify::runLockstep(prog).ok());
+        ASSERT_TRUE(verify::runFastLockstep(prog).ok());
+    }
+    const double per_call = static_cast<double>(minorFaults() - before) /
+                            static_cast<double>(2 * progs.size());
+    EXPECT_LT(per_call, 4.0);
 }
 
 /** The instruction queue size is validated input: a queue outside

@@ -18,6 +18,7 @@
 #include "verify/faults.hh"
 #include "verify/generator.hh"
 #include "verify/lockstep.hh"
+#include "verify/reference.hh"
 #include "verify/shrink.hh"
 #include "workloads/workloads.hh"
 
@@ -392,6 +393,41 @@ TEST(Watchdog, StepLimitVerdictNamesTheLimitOnBothRunners)
                                << full.toString();
         EXPECT_GT(full.refInstructions, 1'000'000u);
     }
+}
+
+// --------------------------------------------------- final-state check
+
+TEST(FinalState, MemoryMismatchNamesTheLowestDifferingAddress)
+{
+    const Program p = verify::generate(7).link();
+    verify::Reference ref(p);
+    LockstepReport rep;
+    ASSERT_TRUE(verify::runReference(ref, 1'000'000, rep));
+    const Interpreter& interp = ref.interp;
+    rep.sim.apparent = interp.result().instructions;
+
+    MemoryImage image = interp.memory();
+    const auto check = [&] {
+        LockstepReport r = rep;
+        const verify::EngineState eng{"fast",       interp.accum(),
+                                      interp.flag(), interp.sp(),
+                                      interp.pc(),   image};
+        verify::checkFinalState(ref, eng, "", r);
+        return r;
+    };
+
+    const LockstepReport same = check();
+    EXPECT_TRUE(same.ok()) << same.toString();
+    EXPECT_EQ(same.detail, "");
+
+    // Two differences high in memory, stored in descending order.
+    for (const Addr a : {Addr{0x3E000}, Addr{0x30000}})
+        image.write32(a, image.read32(a) ^ 0xA5u);
+    const LockstepReport diff = check();
+    EXPECT_EQ(verify::divergenceName(diff.kind), "final-state-mismatch");
+    EXPECT_TRUE(diff.detail.starts_with("memory[0x30000] 0xa5 != 0x0; "))
+        << diff.detail;
+    EXPECT_EQ(diff.detail.find("3e000"), std::string::npos) << diff.detail;
 }
 
 // ------------------------------------------------------------ shrinker

@@ -16,8 +16,11 @@
  *   q            quit
  *
  * An address is a symbol name or a whole decimal or 0x-hex number
- * that fits in 32 bits. A command that faults (a dump past the end of
- * memory, say) prints the error and the session goes on.
+ * that fits in 32 bits; a count is a whole decimal number of at least
+ * 1, and a breakpoint index a whole decimal number. A malformed
+ * argument prints the command's usage line and runs nothing. A
+ * command that faults (a dump past the end of memory, say) prints the
+ * error and the session goes on.
  *
  * Because architectural effects happen at retirement, breakpoints fire
  * with precise state: everything older has executed, nothing younger
@@ -28,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -107,6 +111,18 @@ class Debugger
         return cli::parseInt(tok.c_str(), out, 0, max);
     }
 
+    /** Read the optional count after a command into @p n, which
+     *  keeps its default when there is none. @return false when the
+     *  count is not a whole decimal number of at least 1. */
+    static bool
+    parseCount(std::istream& is, long& n)
+    {
+        std::string tok;
+        return !(is >> tok) ||
+               cli::parseInt(tok.c_str(), n, 1,
+                             std::numeric_limits<long>::max());
+    }
+
     void
     printState() const
     {
@@ -170,7 +186,10 @@ class Debugger
         }
         if (cmd == "s") {
             long n = 1;
-            is >> n;
+            if (!parseCount(is, n)) {
+                std::printf("usage: s [cycles]\n");
+                return true;
+            }
             echoTrace_ = true;
             for (long k = 0; k < n && !cpu_.halted(); ++k)
                 cpu_.tick(&obs_);
@@ -180,7 +199,10 @@ class Debugger
         }
         if (cmd == "n") {
             long k = 1;
-            is >> k;
+            if (!parseCount(is, k)) {
+                std::printf("usage: n [instructions]\n");
+                return true;
+            }
             const std::uint64_t target =
                 obs_.retired + static_cast<std::uint64_t>(k);
             while (!cpu_.halted() && obs_.retired < target)
@@ -216,8 +238,12 @@ class Debugger
             return true;
         }
         if (cmd == "d") {
+            std::string tok;
             std::size_t idx = 0;
-            if (is >> idx && idx < obs_.breakpoints.size()) {
+            if (is >> tok &&
+                cli::parseInt(tok.c_str(), idx, 0,
+                              std::numeric_limits<std::size_t>::max()) &&
+                idx < obs_.breakpoints.size()) {
                 auto it = obs_.breakpoints.begin();
                 std::advance(it, static_cast<std::ptrdiff_t>(idx));
                 obs_.breakpoints.erase(it);
@@ -239,11 +265,10 @@ class Debugger
             std::string tok;
             Addr a = 0;
             long n = 4;
-            if (!(is >> tok) || !parseAddr(tok, a)) {
+            if (!(is >> tok) || !parseAddr(tok, a) || !parseCount(is, n)) {
                 std::printf("usage: x <symbol|address> [words]\n");
                 return true;
             }
-            is >> n;
             for (long k = 0; k < n; ++k) {
                 const Addr at = a + static_cast<Addr>(k) * kWordBytes;
                 std::printf("0x%05x: %d (0x%x)\n", at,

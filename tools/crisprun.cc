@@ -69,6 +69,15 @@ usage()
     return 2;
 }
 
+/** Report a machine fault the same way on every engine: exit 4. */
+int
+machineFault(crisp::Addr pc, const char* reason)
+{
+    std::fprintf(stderr, "crisprun: machine fault at 0x%x: %s\n",
+                 static_cast<unsigned>(pc), reason);
+    return 4;
+}
+
 } // namespace
 
 int
@@ -159,9 +168,17 @@ main(int argc, char** argv)
                                  "prediction bits\n");
         }
 
+        // The interpreter and the delayed-branch machine throw a
+        // machine fault out of run(); the pipeline engines record it.
+        std::string fault;
         if (engine == "interp") {
             Interpreter interp(prog);
-            const InterpResult r = interp.run();
+            try {
+                interp.run();
+            } catch (const CrispError& e) {
+                fault = e.what();
+            }
+            const InterpResult& r = interp.result();
             std::printf("exit value: %d\n",
                         static_cast<int>(interp.accum()));
             if (want_stats) {
@@ -175,6 +192,8 @@ main(int argc, char** argv)
             }
             if (want_histogram)
                 std::fputs(r.histogramTable().c_str(), stdout);
+            if (!fault.empty())
+                return machineFault(interp.pc(), fault.c_str());
             if (!r.halted) {
                 std::fprintf(stderr, "crisprun: step limit exceeded "
                                      "without reaching halt\n");
@@ -185,7 +204,12 @@ main(int argc, char** argv)
 
         if (engine == "delayed") {
             DelayedBranchCpu cpu(prog, annul);
-            const DelayedStats& s = cpu.run();
+            try {
+                cpu.run();
+            } catch (const CrispError& e) {
+                fault = e.what();
+            }
+            const DelayedStats& s = cpu.stats();
             std::printf("exit value: %d\n",
                         static_cast<int>(cpu.accum()));
             if (want_stats) {
@@ -202,6 +226,8 @@ main(int argc, char** argv)
                                 s.annulledSlots),
                             s.cpi());
             }
+            if (!fault.empty())
+                return machineFault(cpu.pc(), fault.c_str());
             return s.halted ? 0 : 3;
         }
 
@@ -246,13 +272,8 @@ main(int argc, char** argv)
             hist.opcodeCounts = s.opcodeCounts;
             std::fputs(hist.histogramTable().c_str(), stdout);
         }
-        if (s.faulted) {
-            std::fprintf(stderr,
-                         "crisprun: machine fault at 0x%x: %s\n",
-                         static_cast<unsigned>(s.faultPc),
-                         s.faultReason.c_str());
-            return 4;
-        }
+        if (s.faulted)
+            return machineFault(s.faultPc, s.faultReason.c_str());
         if (!s.halted) {
             // The fast engine keeps no cycle count: its limit is
             // reported in instructions.
