@@ -34,7 +34,7 @@ show(const char* what, Addr pc, const std::vector<Instruction>& insts)
         encodeAppend(i, window);
 
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(pc, window, /*at_end=*/true);
+    const auto di = dec.decodeAt(pc, window, /*at_end=*/true).di;
     if (!di) {
         std::printf("%-34s -> (window too small)\n", what);
         return;
@@ -132,7 +132,7 @@ main()
                      window);
         encodeAppend(Instruction::branchRel(Opcode::kJmp, 0x40), window);
         FoldDecoder dec(p);
-        const auto di = dec.decodeAt(pc, window, true);
+        const auto di = dec.decodeAt(pc, window, true).di;
         const char* pname = p == FoldPolicy::kNone    ? "kNone "
                             : p == FoldPolicy::kCrisp ? "kCrisp"
                                                       : "kAll  ";

@@ -61,13 +61,12 @@ CallGraph::CallGraph(const Cfg& cfg)
     Addr pc = prog.textBase;
     const Addr end = prog.textEnd();
     while (pc < end) {
-        Instruction inst;
-        try {
-            inst = prog.fetch(pc);
-        } catch (const CrispError&) {
+        const DecodeResult r = prog.tryFetch(pc);
+        if (r.error != nullptr) {
             pc += kParcelBytes;
             continue;
         }
+        const Instruction& inst = r.inst;
         if (!covered.count(pc)) {
             if (const auto callee = directCallTarget(inst, pc)) {
                 CallSite s;

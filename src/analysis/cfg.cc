@@ -21,14 +21,10 @@ std::set<Addr>
 collectIndirectCandidates(const Program& prog)
 {
     std::set<Addr> out;
-    const Addr text_end = prog.textEnd();
-    for (std::size_t i = 0; i + kWordBytes <= prog.data.size();
-         i += kWordBytes) {
-        const Addr v = static_cast<Addr>(prog.data[i]) |
-                       (static_cast<Addr>(prog.data[i + 1]) << 8) |
-                       (static_cast<Addr>(prog.data[i + 2]) << 16) |
-                       (static_cast<Addr>(prog.data[i + 3]) << 24);
-        if (v >= prog.textBase && v < text_end && v % kParcelBytes == 0)
+    for (Addr a = prog.dataBase; const auto w = prog.dataWord(a);
+         a += kWordBytes) {
+        const auto v = static_cast<Addr>(*w);
+        if (prog.inText(v) && v % kParcelBytes == 0)
             out.insert(v);
     }
     return out;
@@ -122,16 +118,13 @@ Cfg::discover()
         const std::size_t idx = (pc - prog_.textBase) / kParcelBytes;
         const std::span<const Parcel> window{prog_.text.data() + idx,
                                              prog_.text.size() - idx};
-        std::optional<DecodedInst> di;
-        try {
-            di = decoder.decodeAt(pc, window, /*at_end=*/true);
-        } catch (const CrispError& e) {
-            decodeErrors_.emplace_back(pc, e.what());
-        }
+        const FoldDecode d = decoder.decodeAt(pc, window, /*at_end=*/true);
+        const std::optional<DecodedInst>& di = d.di;
         if (!di) {
-            if (decodeErrors_.empty() || decodeErrors_.back().first != pc)
-                decodeErrors_.emplace_back(
-                    pc, "instruction truncated by end of text segment");
+            decodeErrors_.emplace_back(
+                pc, d.error != nullptr
+                        ? d.error
+                        : "instruction truncated by end of text segment");
             // Keep the node as a zero-length placeholder so edges to it
             // stay representable; totalParcels = 0 marks "no decode".
             n.di.pc = pc;

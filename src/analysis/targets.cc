@@ -705,16 +705,15 @@ analyzeTargets(const Cfg& cfg, const CallGraph& cg,
             continue;
         if (n.di.totalParcels <= 0) {
             // Decode-error node: the interpreter executes the raw
-            // instruction; model its stores from the raw view.
-            try {
-                const Instruction raw = prog.fetch(pc);
-                addBodyWrites(false, raw, in, prog.memBytes, mw);
-                if (raw.op == Opcode::kCall) {
+            // instruction; model its stores from the raw view. A fetch
+            // error faults before any store.
+            const DecodeResult raw = prog.tryFetch(pc);
+            if (raw.error == nullptr) {
+                addBodyWrites(false, raw.inst, in, prog.memBytes, mw);
+                if (raw.inst.op == Opcode::kCall) {
                     mw.add(in.sp.lo - kWordBytes, in.sp.hi,
                            prog.memBytes);
                 }
-            } catch (const CrispError&) {
-                // Fetch faults before any store.
             }
             continue;
         }

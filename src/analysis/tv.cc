@@ -41,21 +41,6 @@ globalNameAt(const Program& prog, Addr a)
     return "";
 }
 
-/** Load-image data word (little-endian) at @p a, if fully in data. */
-std::optional<Word>
-initialDataWord(const Program& prog, Addr a)
-{
-    if (a < prog.dataBase ||
-        a + kWordBytes > prog.dataBase + prog.data.size()) {
-        return std::nullopt;
-    }
-    const std::size_t off = a - prog.dataBase;
-    return static_cast<Word>(prog.data[off]) |
-           (static_cast<Word>(prog.data[off + 1]) << 8) |
-           (static_cast<Word>(prog.data[off + 2]) << 16) |
-           (static_cast<Word>(prog.data[off + 3]) << 24);
-}
-
 /**
  * Does some label map @p want in before to @p got in after? The data
  * words are compared with label addresses as unsigned 32-bit values.
@@ -199,8 +184,8 @@ validateRewrite(const Program& before, const Program& after,
         // tables — a relocated constant, not a divergence. A dropped
         // store can never slip through: the before side's final value
         // would differ from its load image.
-        const auto w0 = initialDataWord(before, a);
-        const auto w1 = initialDataWord(after, a);
+        const auto w0 = before.dataWord(a);
+        const auto w1 = after.dataWord(a);
         if (w0 && w1 && want == *w0 && got == *w1 &&
             relocatedLabel(before, after, static_cast<Addr>(want),
                            static_cast<Addr>(got))) {

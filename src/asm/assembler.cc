@@ -124,9 +124,10 @@ AsmBuilder::branch(Opcode op, const std::string& target, bool predict_taken)
 }
 
 void
-AsmBuilder::branchIndirect(Opcode op, BranchMode bmode, std::uint32_t spec)
+AsmBuilder::branchIndirect(Opcode op, BranchMode bmode, std::uint32_t spec,
+                           bool predict_taken)
 {
-    emit(Instruction::branchFar(op, bmode, spec));
+    emit(Instruction::branchFar(op, bmode, spec, predict_taken));
 }
 
 void
@@ -512,12 +513,12 @@ assemble(std::string_view source)
                         asmError(line, "bad indirect branch: " + rest);
                     p.builder.branchIndirect(
                         op, BranchMode::kIndSp,
-                        static_cast<std::uint32_t>(slot));
+                        static_cast<std::uint32_t>(slot), predict);
                 } else if (isIdent(t)) {
                     const Operand g = p.builder.globalOperand(t);
                     p.builder.branchIndirect(
                         op, BranchMode::kIndAbs,
-                        static_cast<std::uint32_t>(g.value));
+                        static_cast<std::uint32_t>(g.value), predict);
                 } else {
                     asmError(line, "bad indirect branch target: " + rest);
                 }

@@ -5,6 +5,7 @@
 
 #include "encoding.hh"
 
+#include <optional>
 #include <sstream>
 
 namespace crisp
@@ -34,7 +35,8 @@ modeBits(AddrMode m)
     throw CrispError("modeBits: bad addressing mode");
 }
 
-AddrMode
+/** Nothing for a mode field no addressing mode uses. */
+std::optional<AddrMode>
 bitsMode(int bits)
 {
     switch (bits) {
@@ -45,7 +47,7 @@ bitsMode(int bits)
       case kModeInd:   return AddrMode::kInd;
       case kModeAccum: return AddrMode::kAccum;
       default:
-        throw CrispError("bitsMode: bad mode encoding");
+        return std::nullopt;
     }
 }
 
@@ -78,7 +80,8 @@ branchModeBits(BranchMode m)
     throw CrispError("branchModeBits: bad branch mode");
 }
 
-BranchMode
+/** Nothing for the unused branch-mode field value. */
+std::optional<BranchMode>
 bitsBranchMode(int bits)
 {
     switch (bits) {
@@ -86,7 +89,7 @@ bitsBranchMode(int bits)
       case 1: return BranchMode::kIndAbs;
       case 2: return BranchMode::kIndSp;
       default:
-        throw CrispError("bitsBranchMode: bad branch mode encoding");
+        return std::nullopt;
     }
 }
 
@@ -219,13 +222,12 @@ encodeAppend(const Instruction& inst, std::vector<Parcel>& image)
     return n;
 }
 
-Instruction
-decode(const Parcel* parcels)
+DecodeResult
+tryDecode(const Parcel* parcels)
 {
     const Parcel p0 = parcels[0];
-    const int major = p0 >> 12;
-
-    if (major == kMajorJmp || major == kMajorIfT || major == kMajorIfF) {
+    if (isShortBranch(p0)) {
+        const int major = p0 >> 12;
         Opcode op = Opcode::kJmp;
         if (major == kMajorIfT)
             op = Opcode::kIfTJmp;
@@ -233,50 +235,54 @@ decode(const Parcel* parcels)
             op = Opcode::kIfFJmp;
         const bool pred = (p0 >> 11) & 1;
         const std::int32_t disp = signExtend(p0 & 0x3FFu, 10) * 2;
-        return Instruction::branchRel(op, disp, pred);
+        return {Instruction::branchRel(op, disp, pred)};
     }
 
     const auto op = static_cast<Opcode>(p0 >> 10);
     if (static_cast<int>(op) >= kOpcodeCount)
-        throw CrispError("decode: bad opcode");
+        return {{}, "decode: bad opcode"};
 
     if (isBranch(op)) {
         const bool pred = (p0 >> 8) & 1;
-        const BranchMode bmode = bitsBranchMode((p0 >> 6) & 3);
+        const auto bmode = bitsBranchMode((p0 >> 6) & 3);
+        if (!bmode)
+            return {{}, "bitsBranchMode: bad branch mode encoding"};
         const std::uint32_t spec =
             static_cast<std::uint32_t>(parcels[1]) |
             (static_cast<std::uint32_t>(parcels[2]) << 16);
-        return Instruction::branchFar(op, bmode, spec, pred);
+        return {Instruction::branchFar(op, *bmode, spec, pred)};
     }
 
     if (op == Opcode::kNop)
-        return Instruction::nop();
+        return {Instruction::nop()};
     if (op == Opcode::kHalt)
-        return Instruction::halt();
+        return {Instruction::halt()};
     if (op == Opcode::kEnter)
-        return Instruction::enter(p0 & 0x1FF);
+        return {Instruction::enter(p0 & 0x1FF)};
     if (op == Opcode::kReturn)
-        return Instruction::ret(p0 & 0x1FF);
+        return {Instruction::ret(p0 & 0x1FF)};
     if (op == Opcode::kLeave)
-        return Instruction::leave(p0 & 0x1FF);
+        return {Instruction::leave(p0 & 0x1FF)};
 
     const bool long_form = (p0 >> 9) & 1;
     if (!long_form) {
         const int a = (p0 >> 4) & 0x1F;
         const int b = (p0 >> 1) & 0x7;
         const int m = p0 & 1;
-        return Instruction::alu(op, unshortA(a), unshortB(b, m));
+        return {Instruction::alu(op, unshortA(a), unshortB(b, m))};
     }
 
     const bool wide = (p0 >> 8) & 1;
-    const AddrMode dm = bitsMode((p0 >> 5) & 7);
-    const AddrMode sm = bitsMode((p0 >> 2) & 7);
+    const auto dm = bitsMode((p0 >> 5) & 7);
+    const auto sm = bitsMode((p0 >> 2) & 7);
+    if (!dm || !sm)
+        return {{}, "bitsMode: bad mode encoding"};
     Operand dst, src;
-    dst.mode = dm;
-    src.mode = sm;
+    dst.mode = *dm;
+    src.mode = *sm;
     if (!wide) {
-        dst.value = unspec16(dm, parcels[1]);
-        src.value = unspec16(sm, parcels[2]);
+        dst.value = unspec16(*dm, parcels[1]);
+        src.value = unspec16(*sm, parcels[2]);
     } else {
         dst.value = static_cast<std::int32_t>(
             static_cast<std::uint32_t>(parcels[1]) |
@@ -285,11 +291,20 @@ decode(const Parcel* parcels)
             static_cast<std::uint32_t>(parcels[3]) |
             (static_cast<std::uint32_t>(parcels[4]) << 16));
     }
-    if (dm == AddrMode::kNone)
+    if (*dm == AddrMode::kNone)
         dst.value = 0;
-    if (sm == AddrMode::kNone)
+    if (*sm == AddrMode::kNone)
         src.value = 0;
-    return Instruction::alu(op, dst, src);
+    return {Instruction::alu(op, dst, src)};
+}
+
+Instruction
+decode(const Parcel* parcels)
+{
+    const DecodeResult r = tryDecode(parcels);
+    if (r.error != nullptr)
+        throw CrispError(r.error);
+    return r.inst;
 }
 
 } // namespace crisp

@@ -51,6 +51,14 @@ inline constexpr Parcel kMajorJmp = 0xC;
 inline constexpr Parcel kMajorIfT = 0xD;
 inline constexpr Parcel kMajorIfF = 0xE;
 
+/** Does @p parcel0 start a one-parcel branch (jmp / iftjmp / iffjmp)? */
+inline bool
+isShortBranch(Parcel parcel0)
+{
+    const int major = parcel0 >> 12;
+    return major == kMajorJmp || major == kMajorIfT || major == kMajorIfF;
+}
+
 /**
  * Instruction length in parcels (1, 3 or 5), from the first parcel.
  * Inline: the PDU's decode-window gate asks this every cycle.
@@ -58,8 +66,7 @@ inline constexpr Parcel kMajorIfF = 0xE;
 inline int
 instructionLength(Parcel parcel0)
 {
-    const int major = parcel0 >> 12;
-    if (major == kMajorJmp || major == kMajorIfT || major == kMajorIfF)
+    if (isShortBranch(parcel0))
         return 1;
 
     const auto op = static_cast<Opcode>(parcel0 >> 10);
@@ -83,10 +90,23 @@ int encode(const Instruction& inst, Parcel* out);
 /** Encode and append to a parcel vector. @return parcels written. */
 int encodeAppend(const Instruction& inst, std::vector<Parcel>& image);
 
+/** An instruction, or the static message of why its parcels hold none. */
+struct DecodeResult
+{
+    Instruction inst;
+    /** Null when inst is valid. */
+    const char* error = nullptr;
+};
+
 /**
- * Decode one instruction starting at @p parcels. The caller guarantees
- * that instructionLength(parcels[0]) parcels are readable.
+ * Decode one instruction starting at @p parcels. Never throws: a bad
+ * opcode, operand mode or branch mode comes back as the error message.
+ * The caller guarantees that instructionLength(parcels[0]) parcels are
+ * readable.
  */
+DecodeResult tryDecode(const Parcel* parcels);
+
+/** tryDecode, throwing its error message as CrispError. */
 Instruction decode(const Parcel* parcels);
 
 } // namespace crisp

@@ -74,15 +74,51 @@ class Program
         return text[(a - textBase) / kParcelBytes];
     }
 
+    /**
+     * Decode the instruction at byte address @p a, or the static
+     * message fetch() throws: @p a is unaligned or outside the text
+     * segment, the instruction runs off its end, or it does not decode.
+     */
+    DecodeResult
+    tryFetch(Addr a) const
+    {
+        if (a % kParcelBytes != 0)
+            return {{}, "unaligned parcel fetch"};
+        if (!inText(a))
+            return {{}, "parcel fetch outside text segment"};
+        const std::size_t idx = (a - textBase) / kParcelBytes;
+        if (text.size() - idx <
+            static_cast<std::size_t>(instructionLength(text[idx]))) {
+            return {{}, "parcel fetch outside text segment"};
+        }
+        return tryDecode(text.data() + idx);
+    }
+
     /** Decode the instruction at byte address @p a. */
     Instruction
     fetch(Addr a) const
     {
-        Parcel buf[kMaxParcels] = {};
-        const int len = instructionLength(parcelAt(a));
-        for (int i = 0; i < len; ++i)
-            buf[i] = parcelAt(a + static_cast<Addr>(i) * kParcelBytes);
-        return decode(buf);
+        const DecodeResult r = tryFetch(a);
+        if (r.error != nullptr)
+            throw CrispError(r.error);
+        return r.inst;
+    }
+
+    /** The little-endian load-image word at byte address @p a, or
+     *  nothing when it is not wholly inside the data segment. */
+    std::optional<Word>
+    dataWord(Addr a) const
+    {
+        if (a < dataBase || a - dataBase > data.size() ||
+            data.size() - (a - dataBase) < kWordBytes) {
+            return std::nullopt;
+        }
+        const std::size_t off = a - dataBase;
+        return static_cast<Word>(
+            static_cast<UWord>(data[off]) |
+            (static_cast<UWord>(data[off + 1]) << 8) |
+            (static_cast<UWord>(data[off + 2]) << 16) |
+            (static_cast<UWord>(data[off + 3]) << 24));
     }
 
     /** Look up a symbol address/value by name. */

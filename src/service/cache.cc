@@ -44,54 +44,28 @@ ProgramRegistry::intern(std::uint64_t hash, Program&& prog)
     return entry;
 }
 
-namespace
-{
-
-/**
- * Warm @p entry's predecode table for @p policy on first request;
- * the caller holds the registry lock. After warmAll succeeds the table
- * is fully memoized and therefore read-only, so workers may share it
- * without further locking. @return false when the table is private:
- * some parcel address threw on decode, now or on an earlier request.
- */
-bool
-warmShared(ProgramRegistry::Entry& entry, FoldPolicy policy)
-{
-    const auto p = static_cast<std::size_t>(policy);
-    if (!entry.warmed[p] && !entry.warmFailed[p]) {
-        entry.warmed[p] = entry.predecode->warmAll(policy);
-        entry.warmFailed[p] = !entry.warmed[p];
-    }
-    return entry.warmed[p];
-}
-
-} // namespace
-
-PredecodeCache*
+PredecodeCache&
 ProgramRegistry::sharedTables(const std::shared_ptr<Entry>& entry,
                               FoldPolicy policy)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return warmShared(*entry, policy) ? entry->predecode.get() : nullptr;
+    const auto p = static_cast<std::size_t>(policy);
+    std::call_once(entry->warmed[p],
+                   [&] { entry->predecode->warmAll(policy); });
+    return *entry->predecode;
 }
 
-const Translation*
+const Translation&
 ProgramRegistry::sharedTranslation(const std::shared_ptr<Entry>& entry,
                                    FoldPolicy policy)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!warmShared(*entry, policy))
-        return nullptr;
+    PredecodeCache& tables = sharedTables(entry, policy);
     const auto p = static_cast<std::size_t>(policy);
-    if (!entry->translation[p]) {
-        // Built once under the lock over the warmed (read-only)
-        // predecode tables; immutable afterwards, so fast-engine
-        // workers share it without further locking. References
-        // entry->prog, which never moves behind its shared_ptr.
-        entry->translation[p] = std::make_unique<Translation>(
-            entry->prog, policy, entry->predecode.get());
-    }
-    return entry->translation[p].get();
+    // References entry->prog, which never moves behind its shared_ptr.
+    std::call_once(entry->translated[p], [&] {
+        entry->translation[p] =
+            std::make_unique<Translation>(entry->prog, policy, &tables);
+    });
+    return *entry->translation[p];
 }
 
 std::size_t

@@ -5,18 +5,15 @@
  * Two layers, both bounded and LRU-evicted:
  *
  *  - ProgramRegistry interns parsed programs by FNV-1a hash of their
- *    object-file bytes. Each entry can hold predecode tables warmed
+ *    object-file bytes. Each entry holds predecode tables warmed
  *    eagerly (PredecodeCache::warmAll) so every worker simulating the
  *    same program × fold policy shares one read-only decode table —
  *    the PR 2 predecode sharing, promoted from replay loops to a
- *    multi-tenant service. What decides sharing is decodability, not
- *    reuse: warmAll decodes every parcel address, mid-instruction ones
- *    included, and one address that throws makes the whole table
- *    unshareable for that policy, so each of the program's runs pays
- *    for a private lazy cache (correct first, fast second). Many
- *    programs have such a parcel: ccomp, drc, cwhet, sieve, sort and
- *    quant among the 15 workloads, and 1,960 of generated programs
- *    1–2000, under every fold policy.
+ *    multi-tenant service. Every program shares: warmAll memoizes a
+ *    parcel that does not decode as an error entry, so each table
+ *    warms completely. The first job for a program × policy warms it,
+ *    outside the registry lock; later jobs wait for that warm-up only
+ *    if it is still running.
  *
  *  - ResultCache memoizes terminal kDone results by hash × the full
  *    policy key. Simulation is deterministic, so the millionth request
@@ -76,15 +73,16 @@ class ProgramRegistry
     {
         Program prog;
         std::uint64_t hash = 0;
-        /** Tables over prog; policies marked warmed are read-only. */
+        /** Tables over prog; a policy's table is read-only once its
+         *  warmed flag has run. */
         std::unique_ptr<PredecodeCache> predecode;
-        bool warmed[3] = {false, false, false};
-        bool warmFailed[3] = {false, false, false};
+        std::once_flag warmed[3];
         /** Warm threaded-code translations over prog, one per fold
-         *  policy. Built once under the registry lock, read-only
-         *  thereafter: the million-th fast-engine request for a hot
-         *  program pays zero translate cost. */
+         *  policy. Built once, on the first fast-engine request, and
+         *  read-only thereafter: the million-th fast-engine request
+         *  for a hot program pays zero translate cost. */
         std::unique_ptr<Translation> translation[3];
+        std::once_flag translated[3];
     };
 
     explicit ProgramRegistry(std::size_t cap) : cap_(cap) {}
@@ -97,22 +95,19 @@ class ProgramRegistry
     std::shared_ptr<Entry> intern(std::uint64_t hash, Program&& prog);
 
     /**
-     * The shared warmed predecode tables for @p policy, warming them
-     * now if this is the first request. @return nullptr when the
-     * program is unshareable under that policy (caller uses a private
-     * lazy cache).
+     * The shared predecode tables for @p policy, warming them now if
+     * this is the first request. Read-only from then on, so workers
+     * share them without locking.
      */
-    PredecodeCache* sharedTables(const std::shared_ptr<Entry>& entry,
+    PredecodeCache& sharedTables(const std::shared_ptr<Entry>& entry,
                                  FoldPolicy policy);
 
     /**
-     * The warm shared Translation for @p policy, building it now
-     * over the warmed predecode tables if this is the first
-     * fast-engine request. @return nullptr when the program is
-     * unshareable under that policy — FastEngine then builds its
-     * private translation, exactly as before.
+     * The warm shared Translation for @p policy, building it now over
+     * the warmed predecode tables if this is the first fast-engine
+     * request.
      */
-    const Translation*
+    const Translation&
     sharedTranslation(const std::shared_ptr<Entry>& entry,
                       FoldPolicy policy);
 
@@ -122,6 +117,8 @@ class ProgramRegistry
     void evictIfNeeded();
 
     const std::size_t cap_;
+    /** Guards entries_ and lru_ only; warming runs under each entry's
+     *  once flags. */
     mutable std::mutex mu_;
     std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
     /** LRU order, most recent at the back. */

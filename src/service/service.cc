@@ -259,12 +259,6 @@ SimService::runJob(Job& job)
         } else {
             try {
                 const auto timer = watchdog_.armAt(job.deadline);
-                PredecodeCache* tables = registry_.sharedTables(
-                    job.program, job.simCfg.foldPolicy);
-                if (tables != nullptr) {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    ++ledger_.predecodeShares;
-                }
                 // Architectural-only jobs run on the threaded-code
                 // fast engine (cycles reported as 0); timed jobs on
                 // the cycle pipeline. Both share the warm predecode
@@ -272,24 +266,29 @@ SimService::runJob(Job& job)
                 // Fast jobs additionally reuse the registry's warm
                 // Translation, so a hot program pays zero decode AND
                 // zero translate cost per request.
+                const bool fast = job.key.engine == EngineKind::kFast;
+                PredecodeCache& tables = registry_.sharedTables(
+                    job.program, job.simCfg.foldPolicy);
+                const Translation* warm =
+                    fast ? &registry_.sharedTranslation(
+                               job.program, job.simCfg.foldPolicy)
+                         : nullptr;
+                {
+                    std::lock_guard<std::mutex> lk(mu_);
+                    ++ledger_.predecodeShares;
+                    ledger_.translationShares += fast;
+                }
                 SimStats st;
                 Word accum = 0;
-                if (job.key.engine == EngineKind::kFast) {
-                    const Translation* warm =
-                        registry_.sharedTranslation(
-                            job.program, job.simCfg.foldPolicy);
-                    if (warm != nullptr) {
-                        std::lock_guard<std::mutex> lk(mu_);
-                        ++ledger_.translationShares;
-                    }
+                if (fast) {
                     FastEngine eng(job.program->prog, job.simCfg,
-                                   tables, warm);
+                                   &tables, warm);
                     eng.setCancelFlag(&timer->fired);
                     st = eng.run();
                     accum = eng.accum();
                 } else {
                     CrispCpu cpu(job.program->prog, job.simCfg,
-                                 tables);
+                                 &tables);
                     cpu.setCancelFlag(&timer->fired);
                     st = cpu.run();
                     accum = cpu.accum();

@@ -342,6 +342,8 @@ CrispCpu::goldenDecodeAt(Addr pc, FoldPolicy policy) const
     // The same memoized tables the PDU decodes from: the golden
     // re-decode is a table lookup after the first retire at a PC.
     const PredecodeCache::Entry& e = predecode_.at(pc, policy);
+    if (e.error != nullptr)
+        throw CrispError(e.error);
     if (!e.valid) {
         throw DicCorruptionError(
             "DIC corruption: no valid decode exists at PC " +

@@ -13,12 +13,20 @@ namespace crisp
 namespace
 {
 
-/** Is @p op a one-parcel-foldable branch (jmp / iftjmp / iffjmp)? */
-bool
-isFoldableBranchOp(Opcode op)
+/** The transfer of a static jmp, iftjmp, iffjmp or call @p op. */
+Ctl
+branchCtl(Opcode op)
 {
-    return op == Opcode::kJmp || op == Opcode::kIfTJmp ||
-           op == Opcode::kIfFJmp;
+    switch (op) {
+      case Opcode::kIfTJmp:
+        return Ctl::kCondT;
+      case Opcode::kIfFJmp:
+        return Ctl::kCondF;
+      case Opcode::kCall:
+        return Ctl::kCall;
+      default:
+        return Ctl::kJmp;
+    }
 }
 
 /** May a carrier of @p parcels length fold under @p policy? */
@@ -47,10 +55,7 @@ FoldDecoder::windowNeed(Parcel parcel0) const
 int
 FoldDecoder::windowNeed(Parcel parcel0, int len) const
 {
-    const auto major = parcel0 >> 12;
-    const bool is_short_branch =
-        major == 0xC || major == 0xD || major == 0xE;
-    if (is_short_branch)
+    if (isShortBranch(parcel0))
         return len;
 
     const auto op = static_cast<Opcode>(parcel0 >> 10);
@@ -59,18 +64,21 @@ FoldDecoder::windowNeed(Parcel parcel0, int len) const
     return len;
 }
 
-std::optional<DecodedInst>
+FoldDecode
 FoldDecoder::decodeAt(Addr pc, std::span<const Parcel> window,
                       bool at_end) const
 {
     if (window.empty())
-        return std::nullopt;
+        return {};
 
     const int len = instructionLength(window[0]);
     if (static_cast<int>(window.size()) < len)
-        return std::nullopt;
+        return {};
 
-    const Instruction inst = decode(window.data());
+    const DecodeResult raw = tryDecode(window.data());
+    if (raw.error != nullptr)
+        return {std::nullopt, raw.error};
+    const Instruction& inst = raw.inst;
 
     DecodedInst di;
     di.pc = pc;
@@ -98,33 +106,20 @@ FoldDecoder::decodeAt(Addr pc, std::span<const Parcel> window,
           case BranchMode::kIndAbs:
           case BranchMode::kIndSp:
             if (inst.op != Opcode::kJmp) {
-                throw CrispError(
-                    "pipeline: only unconditional jumps may be indirect");
+                return {std::nullopt,
+                        "pipeline: only unconditional jumps may be "
+                        "indirect"};
             }
             di.ctl = Ctl::kIndirect;
             di.bmode = inst.bmode;
             di.spec = inst.spec;
-            return di;
+            return {di};
         }
 
-        switch (inst.op) {
-          case Opcode::kJmp:
-            di.ctl = Ctl::kJmp;
-            break;
-          case Opcode::kIfTJmp:
-            di.ctl = Ctl::kCondT;
-            break;
-          case Opcode::kIfFJmp:
-            di.ctl = Ctl::kCondF;
-            break;
-          case Opcode::kCall:
-            di.ctl = Ctl::kCall;
+        di.ctl = branchCtl(inst.op);
+        if (inst.op == Opcode::kCall)
             di.callRetPc = di.seqPc;
-            break;
-          default:
-            break;
-        }
-        return di;
+        return {di};
     }
 
     // Non-branch body.
@@ -133,54 +128,39 @@ FoldDecoder::decodeAt(Addr pc, std::span<const Parcel> window,
 
     if (inst.op == Opcode::kHalt) {
         di.ctl = Ctl::kHalt;
-        return di;
+        return {di};
     }
     if (inst.op == Opcode::kReturn) {
         di.ctl = Ctl::kRet;
-        return di;
+        return {di};
     }
 
     // Branch Folding: peek at the next parcel; if it starts a
-    // one-parcel branch, absorb it into this entry.
+    // one-parcel branch, absorb it into this entry. Only the short
+    // branch majors are decoded: any other word after the body, even
+    // one that does not decode, leaves the body unfolded.
     if (carrierLengthOk(policy_, len) && isFoldableBody(inst.op)) {
         if (static_cast<int>(window.size()) < len + 1) {
             if (!at_end)
-                return std::nullopt; // wait for the lookahead parcel
-            return di;               // nothing follows; no fold
+                return {};  // wait for the lookahead parcel
+            return {di};    // nothing follows; no fold
         }
-        const Parcel next0 = window[len];
-        if (instructionLength(next0) == 1) {
-            const Instruction br = decode(window.data() + len);
-            if (isFoldableBranchOp(br.op) &&
-                br.bmode == BranchMode::kPcRel) {
-                di.folded = true;
-                di.totalParcels = len + 1;
-                di.branchPc =
-                    pc + static_cast<Addr>(len) * kParcelBytes;
-                di.seqPc = di.branchPc + kParcelBytes;
-                di.branchOp = br.op;
-                di.branchShortForm = true;
-                di.predictTaken = br.predictTaken;
-                // The "branch adjust": the 10-bit offset is relative to
-                // the branch's own address, not the carrier's.
-                di.takenPc = di.branchPc + static_cast<Addr>(br.disp);
-                switch (br.op) {
-                  case Opcode::kJmp:
-                    di.ctl = Ctl::kJmp;
-                    break;
-                  case Opcode::kIfTJmp:
-                    di.ctl = Ctl::kCondT;
-                    break;
-                  case Opcode::kIfFJmp:
-                    di.ctl = Ctl::kCondF;
-                    break;
-                  default:
-                    break;
-                }
-            }
+        if (isShortBranch(window[len])) {
+            const Instruction br = tryDecode(window.data() + len).inst;
+            di.folded = true;
+            di.totalParcels = len + 1;
+            di.branchPc = pc + static_cast<Addr>(len) * kParcelBytes;
+            di.seqPc = di.branchPc + kParcelBytes;
+            di.branchOp = br.op;
+            di.branchShortForm = true;
+            di.predictTaken = br.predictTaken;
+            // The "branch adjust": the 10-bit offset is relative to
+            // the branch's own address, not the carrier's.
+            di.takenPc = di.branchPc + static_cast<Addr>(br.disp);
+            di.ctl = branchCtl(br.op);
         }
     }
-    return di;
+    return {di};
 }
 
 std::string

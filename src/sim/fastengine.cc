@@ -147,15 +147,6 @@ execBody(const TOp& t, MemoryImage& mem, Addr& sp, Word& accum,
     }
 }
 
-/** The message Program::parcelAt would raise for address @p a
- *  (alignment is checked before the text bounds, like parcelAt). */
-inline const char*
-fetchError(Addr a)
-{
-    return a % kParcelBytes != 0 ? "unaligned parcel fetch"
-                                 : "parcel fetch outside text segment";
-}
-
 } // namespace
 
 FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
@@ -559,7 +550,7 @@ FastEngine::runLoop(ExecObserver* observer)
       bad_fetch:
         stats_.faulted = true;
         stats_.faultPc = npc;
-        stats_.faultReason = fetchError(npc);
+        stats_.faultReason = prog_->tryFetch(npc).error;
         pc_ = npc;
         goto out;
 

@@ -137,9 +137,12 @@ Pdu::tick(std::uint64_t now)
             paused_ = true;
         } else if (windowReady()) {
             // The gate opened, so the instruction fits in the text and
-            // its memoized entry is valid.
-            const DecodedInst* di =
-                &predecode_.at(decodePc_, cfg_.foldPolicy).di;
+            // its memoized entry is valid unless it does not decode.
+            const PredecodeCache::Entry& e =
+                predecode_.at(decodePc_, cfg_.foldPolicy);
+            if (e.error != nullptr)
+                throw CrispError(e.error);
+            const DecodedInst* di = &e.di;
             pirSrc_ = di; // stable predecode-table storage
             pirValid_ = true;
             if (di->folded)

@@ -18,30 +18,21 @@ PredecodeCache::compute(Entry& e, Addr pc, FoldPolicy policy)
                                          prog_.text.size() - idx);
     const FoldDecoder dec(policy);
     // The maximal window ends exactly at the end of text, so at_end is
-    // always true here; decodeAt fails only for an instruction whose
-    // encoding runs off the segment. A decode error thrown here leaves
-    // the entry uncomputed on purpose (see at()).
-    const auto di = dec.decodeAt(pc, window, /*at_end=*/true);
-    e.valid = di.has_value();
-    if (di)
-        e.di = *di;
+    // always true here; decodeAt yields neither an entry nor an error
+    // only for an instruction whose encoding runs off the segment.
+    const FoldDecode d = dec.decodeAt(pc, window, /*at_end=*/true);
+    e.valid = d.di.has_value();
+    if (d.di)
+        e.di = *d.di;
+    e.error = d.error;
     e.computed = true;
 }
 
-bool
+void
 PredecodeCache::warmAll(FoldPolicy policy)
 {
-    for (Addr pc = textBase_; pc < textEnd_; pc += kParcelBytes) {
-        try {
-            at(pc, policy);
-        } catch (const CrispError&) {
-            // This address throws on every touch (e.g. an indirect
-            // conditional branch encoding); the entry stays uncomputed,
-            // so the table is not immutable and cannot be shared.
-            return false;
-        }
-    }
-    return true;
+    for (Addr pc = textBase_; pc < textEnd_; pc += kParcelBytes)
+        at(pc, policy);
 }
 
 } // namespace crisp

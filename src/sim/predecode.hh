@@ -20,6 +20,11 @@
  * decode work is done once per (address, policy) instead of once per
  * visit.
  *
+ * A decode error is memoized the same way: an address whose text does
+ * not decode keeps decodeAt's message in its entry, and the PDU and the
+ * retire-time checker raise it when they reach the address. Every
+ * table therefore warms completely, mid-instruction parcels included.
+ *
  * Tables are built lazily, one per FoldPolicy, so a simulation that
  * never re-decodes under a second policy (checkDecode's unfolded-golden
  * fallback) pays nothing for it.
@@ -51,19 +56,25 @@ class PredecodeCache
     struct Entry
     {
         DecodedInst di{};
-        /** False: no decode exists at this address (an instruction
-         *  truncated by the end of the text segment). */
+        /** False: no decode exists at this address, because the
+         *  instruction runs off the end of the text segment or, when
+         *  error is set, its encoding does not decode. */
         bool valid = false;
         bool computed = false;
+        /** FoldDecoder::decodeAt's message for an address that does not
+         *  decode (e.g. a bad opcode or an indirect conditional
+         *  branch); the PDU and the retire-time checker raise it as a
+         *  CrispError when they reach the address. */
+        const char* error = nullptr;
     };
 
     /**
-     * The canonical decode at @p pc under @p policy, memoized.
+     * The canonical decode at @p pc under @p policy, memoized. A decode
+     * error is memoized too, as the entry's error, so this never throws
+     * for an aligned address inside the text segment.
      *
-     * @p pc must be parcel aligned and inside the text segment.
-     * Decode errors (e.g. an indirect conditional branch) propagate as
-     * CrispError and are deliberately not memoized: every touch of a
-     * malformed address fails, as FoldDecoder::decodeAt does.
+     * @throws CrispError when @p pc is unaligned or outside the text
+     * segment.
      */
     const Entry&
     at(Addr pc, FoldPolicy policy)
@@ -86,15 +97,10 @@ class PredecodeCache
      * table read-only from then on — the precondition for sharing one
      * cache across concurrent simulations (crispd's program registry
      * hands the same warmed cache to every worker running the same
-     * program × policy). Invalid decodes memoize as valid=false like
-     * the lazy path.
-     *
-     * @return true when every entry was memoized; false when some
-     * address threw a decode error (such a table stays partially lazy
-     * and MUST NOT be shared across threads — give each run a private
-     * cache instead).
+     * program × policy). Addresses without a decode memoize as
+     * valid=false like the lazy path, so every program's table warms.
      */
-    bool warmAll(FoldPolicy policy);
+    void warmAll(FoldPolicy policy);
 
   private:
     void compute(Entry& e, Addr pc, FoldPolicy policy);

@@ -95,43 +95,26 @@ Translation::Translation(const Program& prog, FoldPolicy policy,
 }
 
 void
-Translation::makeTrap(TOp& t, Addr pc, const std::string& msg)
-{
-    t = TOp{};
-    t.kind = TKind::kTrap;
-    t.pc = pc;
-    t.trapMsg = static_cast<std::uint32_t>(trapMsgs_.size());
-    trapMsgs_.push_back(msg);
-}
-
-void
 Translation::translateAt(TOp& t, Addr pc)
 {
-    try {
-        const PredecodeCache::Entry& e = predecode_->at(pc, policy_);
-        if (e.valid) {
-            lowerDecoded(t, e.di);
-            return;
-        }
-        // Truncated by the end of text: fetching here raises the
-        // authentic interpreter error (before counting anything).
-        try {
-            prog_.fetch(pc);
-            makeTrap(t, pc, "untranslatable instruction");
-        } catch (const CrispError& err) {
-            makeTrap(t, pc, err.what());
-        }
-    } catch (const CrispError&) {
-        // The folding decoder rejected the encoding (e.g. an indirect
-        // conditional branch, which the pipeline cannot issue). The
-        // interpreter executes it anyway; fall back to its raw view so
-        // the fast engine stays interpreter-equivalent.
-        try {
-            lowerRaw(t, pc, prog_.fetch(pc));
-        } catch (const CrispError& err) {
-            makeTrap(t, pc, err.what());
-        }
+    const PredecodeCache::Entry& e = predecode_->at(pc, policy_);
+    if (e.valid) {
+        lowerDecoded(t, e.di);
+        return;
     }
+    // No fold decode: the instruction runs off the end of text, does
+    // not decode, or is one the pipeline cannot issue (an indirect
+    // conditional branch). The interpreter executes the raw view or
+    // raises its fetch error before counting anything; so does the
+    // fast engine.
+    const DecodeResult raw = prog_.tryFetch(pc);
+    if (raw.error == nullptr) {
+        lowerRaw(t, pc, raw.inst);
+        return;
+    }
+    t.pc = pc; // t is still a default TOp, a kTrap
+    t.trapMsg = static_cast<std::uint32_t>(trapMsgs_.size());
+    trapMsgs_.push_back(raw.error);
 }
 
 void
@@ -260,17 +243,8 @@ Translation::predictIndirects()
             likely = h->second.front();
             have = true;
         } else if (t.bmode == BranchMode::kIndAbs) {
-            const Addr a = t.dynSpec;
-            if (a >= prog_.dataBase &&
-                a + kWordBytes <=
-                    prog_.dataBase +
-                        static_cast<Addr>(prog_.data.size())) {
-                const std::size_t off = a - prog_.dataBase;
-                likely =
-                    static_cast<Addr>(prog_.data[off]) |
-                    (static_cast<Addr>(prog_.data[off + 1]) << 8) |
-                    (static_cast<Addr>(prog_.data[off + 2]) << 16) |
-                    (static_cast<Addr>(prog_.data[off + 3]) << 24);
+            if (const auto w = prog_.dataWord(t.dynSpec)) {
+                likely = static_cast<Addr>(*w);
                 have = true;
             }
         }

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "config.hh"
@@ -107,6 +106,8 @@ struct TOperand
     /** kStack/kInd: byte offset from SP (value * 4, wrapping).
      *  kAbs: byte address. kImm: the immediate's bit pattern. */
     std::uint32_t v = 0;
+
+    bool operator==(const TOperand&) const = default;
 };
 
 /** One translated (possibly folded) instruction: a direct-threaded
@@ -166,6 +167,8 @@ struct TOp
      * 0 for every control and trap op, which its own handler runs.
      */
     std::uint32_t trace = 0;
+
+    bool operator==(const TOp&) const = default;
 };
 
 /**
@@ -218,7 +221,7 @@ class Translation
     }
 
     /** Fault message for a kTrap op. */
-    const std::string&
+    const char*
     trapMessage(std::uint32_t idx) const
     {
         return trapMsgs_[idx];
@@ -243,7 +246,6 @@ class Translation
     void translateAt(TOp& t, Addr pc);
     void lowerDecoded(TOp& t, const DecodedInst& di);
     void lowerRaw(TOp& t, Addr pc, const Instruction& inst);
-    void makeTrap(TOp& t, Addr pc, const std::string& msg);
     void predictIndirects();
     void linkSuccessors();
 
@@ -255,7 +257,7 @@ class Translation
     PredecodeCache* predecode_;
     IndirectHints hints_;
     std::vector<TOp> ops_;
-    std::vector<std::string> trapMsgs_;
+    std::vector<const char*> trapMsgs_;
     std::vector<std::pair<std::uint32_t, Addr>> icSeeds_;
 };
 

@@ -256,6 +256,24 @@ TEST(AsmBuilder, ProgrammaticConstruction)
     EXPECT_EQ(interp.wordAt("out"), 3);
 }
 
+TEST(Assembler, IndirectBranchKeepsPredictionSuffix)
+{
+    const Program p = assemble(R"(
+        .entry start
+        .global tab 0
+start:
+        iftjmpy *tab
+        iffjmpy *sp[1]
+        iftjmpn *tab
+        halt
+    )");
+    const std::string dis = p.disassemble();
+    EXPECT_NE(dis.find("iftjmpy *@0x8000"), std::string::npos) << dis;
+    EXPECT_NE(dis.find("iffjmpy *sp[1]"), std::string::npos) << dis;
+    EXPECT_NE(dis.find("iftjmpn *@0x8000"), std::string::npos) << dis;
+    EXPECT_TRUE(p.fetch(p.entry).predictTaken);
+}
+
 TEST(Assembler, DisassembleRoundTrips)
 {
     const Program p = assemble(R"(

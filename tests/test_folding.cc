@@ -32,7 +32,7 @@ TEST(FoldDecoder, FoldsOneParcelCarrierWithBranch)
         Instruction::branchRel(Opcode::kJmp, 0x40),
     });
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(0x2000, w, true);
+    const auto di = dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(di);
     EXPECT_TRUE(di->folded);
     EXPECT_FALSE(di->loneBranch);
@@ -53,7 +53,7 @@ TEST(FoldDecoder, FoldsThreeParcelCarrier)
         Instruction::branchRel(Opcode::kIfTJmp, -0x20, true),
     });
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(0x2000, w, true);
+    const auto di = dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(di);
     EXPECT_TRUE(di->folded);
     EXPECT_TRUE(di->writesCc); // the dedicated modifies-CC bit
@@ -71,19 +71,19 @@ TEST(FoldDecoder, CrispPolicySkipsFiveParcelCarriers)
         Instruction::branchRel(Opcode::kJmp, 0x40),
     });
     FoldDecoder crisp_dec(FoldPolicy::kCrisp);
-    const auto a = crisp_dec.decodeAt(0x2000, w, true);
+    const auto a = crisp_dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(a);
     EXPECT_FALSE(a->folded);
     EXPECT_EQ(a->totalParcels, 5);
 
     FoldDecoder all_dec(FoldPolicy::kAll);
-    const auto b = all_dec.decodeAt(0x2000, w, true);
+    const auto b = all_dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(b);
     EXPECT_TRUE(b->folded);
     EXPECT_EQ(b->totalParcels, 6);
 
     FoldDecoder none_dec(FoldPolicy::kNone);
-    const auto c = none_dec.decodeAt(0x2000, w, true);
+    const auto c = none_dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(c);
     EXPECT_FALSE(c->folded);
 }
@@ -99,7 +99,7 @@ TEST(FoldDecoder, NoFoldAcrossControlInstructions)
             Instruction::branchRel(Opcode::kJmp, 0x40),
         });
         FoldDecoder dec(FoldPolicy::kCrisp);
-        const auto di = dec.decodeAt(0x2000, w, true);
+        const auto di = dec.decodeAt(0x2000, w, true).di;
         ASSERT_TRUE(di);
         EXPECT_FALSE(di->folded) << first.toString();
         EXPECT_EQ(di->totalParcels, first.lengthParcels());
@@ -113,7 +113,7 @@ TEST(FoldDecoder, ThreeParcelBranchesAreNotFolded)
         Instruction::branchFar(Opcode::kJmp, BranchMode::kAbs, 0x4000),
     });
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(0x2000, w, true);
+    const auto di = dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(di);
     EXPECT_FALSE(di->folded);
     EXPECT_EQ(di->ctl, Ctl::kSeq);
@@ -125,7 +125,7 @@ TEST(FoldDecoder, LoneBranchEntry)
         Instruction::branchRel(Opcode::kIfFJmp, 0x40, false),
     });
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(0x2000, w, true);
+    const auto di = dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(di);
     EXPECT_TRUE(di->loneBranch);
     EXPECT_EQ(di->ctl, Ctl::kCondF);
@@ -140,7 +140,7 @@ TEST(FoldDecoder, CallAndReturnEntries)
         const auto w = parcels({Instruction::branchFar(
             Opcode::kCall, BranchMode::kAbs, 0x3000)});
         FoldDecoder dec(FoldPolicy::kCrisp);
-        const auto di = dec.decodeAt(0x2000, w, true);
+        const auto di = dec.decodeAt(0x2000, w, true).di;
         ASSERT_TRUE(di);
         EXPECT_EQ(di->ctl, Ctl::kCall);
         EXPECT_EQ(di->takenPc, 0x3000u);
@@ -149,7 +149,7 @@ TEST(FoldDecoder, CallAndReturnEntries)
     {
         const auto w = parcels({Instruction::ret(3)});
         FoldDecoder dec(FoldPolicy::kCrisp);
-        const auto di = dec.decodeAt(0x2000, w, true);
+        const auto di = dec.decodeAt(0x2000, w, true).di;
         ASSERT_TRUE(di);
         EXPECT_EQ(di->ctl, Ctl::kRet);
     }
@@ -160,7 +160,7 @@ TEST(FoldDecoder, IndirectJumpEntry)
     const auto w = parcels({Instruction::branchFar(
         Opcode::kJmp, BranchMode::kIndAbs, 0x8000)});
     FoldDecoder dec(FoldPolicy::kCrisp);
-    const auto di = dec.decodeAt(0x2000, w, true);
+    const auto di = dec.decodeAt(0x2000, w, true).di;
     ASSERT_TRUE(di);
     EXPECT_EQ(di->ctl, Ctl::kIndirect);
     EXPECT_EQ(di->bmode, BranchMode::kIndAbs);
@@ -175,10 +175,32 @@ TEST(FoldDecoder, WaitsForFoldLookahead)
         Instruction::alu(Opcode::kAdd, Operand::stack(0), Operand::imm(1)),
     });
     FoldDecoder dec(FoldPolicy::kCrisp);
-    EXPECT_FALSE(dec.decodeAt(0x2000, w, /*at_end=*/false));
-    const auto di = dec.decodeAt(0x2000, w, /*at_end=*/true);
+    EXPECT_FALSE(dec.decodeAt(0x2000, w, /*at_end=*/false).di);
+    const auto di = dec.decodeAt(0x2000, w, /*at_end=*/true).di;
     ASSERT_TRUE(di);
     EXPECT_FALSE(di->folded);
+}
+
+TEST(FoldDecoder, BadWordAfterCarrierLeavesItUnfolded)
+{
+    // A nop followed by 0xFC00, a one-parcel word with a bad opcode.
+    // Only a short branch folds, so only its majors are decoded ahead:
+    // the nop decodes alone and the error stays with the bad word.
+    const std::vector<Parcel> w = {parcels({Instruction::nop()})[0],
+                                   0xFC00};
+    for (FoldPolicy fp : {FoldPolicy::kCrisp, FoldPolicy::kAll}) {
+        const FoldDecoder dec(fp);
+        const FoldDecode d = dec.decodeAt(0x1006, w, true);
+        EXPECT_EQ(d.error, nullptr);
+        ASSERT_TRUE(d.di);
+        EXPECT_FALSE(d.di->folded);
+        EXPECT_EQ(d.di->totalParcels, 1);
+        EXPECT_EQ(d.di->seqPc, 0x1008u);
+        const FoldDecode bad =
+            dec.decodeAt(0x1008, std::span(w).subspan(1), true);
+        EXPECT_FALSE(bad.di);
+        EXPECT_STREQ(bad.error, "decode: bad opcode");
+    }
 }
 
 TEST(FoldDecoder, WindowNeed)
@@ -206,7 +228,7 @@ TEST(FoldDecoder, PredictionBitSelectsPaths)
             Instruction::branchRel(Opcode::kIfTJmp, 0x10, pred),
         });
         FoldDecoder dec(FoldPolicy::kCrisp);
-        const auto di = dec.decodeAt(0x2000, w, true);
+        const auto di = dec.decodeAt(0x2000, w, true).di;
         ASSERT_TRUE(di);
         EXPECT_EQ(di->predictTaken, pred);
         EXPECT_TRUE(di->condTaken(true));
@@ -285,7 +307,7 @@ TEST_P(FoldProperty, TargetsAndLengthsConsistent)
             {carrier, Instruction::branchRel(Opcode::kIfTJmp, disp)});
         FoldDecoder dec(policy);
         const Addr pc = 0x2000;
-        const auto di = dec.decodeAt(pc, w, true);
+        const auto di = dec.decodeAt(pc, w, true).di;
         ASSERT_TRUE(di);
         const Addr branch_pc = pc + carrier.lengthBytes();
         if (di->folded) {
@@ -299,7 +321,7 @@ TEST_P(FoldProperty, TargetsAndLengthsConsistent)
                 branch_pc,
                 std::span<const Parcel>(
                     w.data() + carrier.lengthParcels(), 1),
-                true);
+                true).di;
             ASSERT_TRUE(lone);
             EXPECT_TRUE(lone->loneBranch);
             EXPECT_EQ(lone->takenPc, branch_pc + static_cast<Addr>(disp));

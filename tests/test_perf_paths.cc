@@ -168,7 +168,7 @@ TEST(PredecodeCache, PolicyTablesAreIsolated)
  * fresh decodeAt over the w parcels at that address must yield an entry
  * exactly when the PDR gate (FoldDecoder::windowReady) opens, that
  * entry must equal the memoized one field by field, and a window that
- * throws must make the table throw too.
+ * does not decode must leave the decoder's error message in the entry.
  */
 TEST(PredecodeCache, AgreesWithEveryDecodeWindow)
 {
@@ -194,20 +194,22 @@ TEST(PredecodeCache, AgreesWithEveryDecodeWindow)
                                " pc " + std::to_string(pc) + " window " +
                                std::to_string(w);
                     };
-                    std::optional<DecodedInst> fresh;
-                    try {
-                        fresh = dec.decodeAt(
-                            pc, {prog.text.data() + idx, w}, at_end);
-                    } catch (const CrispError&) {
-                        EXPECT_THROW(cache.at(pc, fp), CrispError)
-                            << where();
+                    const FoldDecode d = dec.decodeAt(
+                        pc, {prog.text.data() + idx, w}, at_end);
+                    if (d.error != nullptr) {
+                        const PredecodeCache::Entry& e = cache.at(pc, fp);
+                        EXPECT_FALSE(e.valid) << where();
+                        ASSERT_NE(e.error, nullptr) << where();
+                        EXPECT_STREQ(e.error, d.error) << where();
                         continue;
                     }
+                    const std::optional<DecodedInst>& fresh = d.di;
                     ASSERT_EQ(fresh.has_value(), gate) << where();
                     if (!gate)
                         continue;
                     const PredecodeCache::Entry& e = cache.at(pc, fp);
                     ASSERT_TRUE(e.valid) << where();
+                    EXPECT_EQ(e.error, nullptr) << where();
                     ASSERT_TRUE(*fresh == e.di)
                         << where() << "\nwindow: " << fresh->toString()
                         << "\ntable:  " << e.di.toString();

@@ -19,13 +19,17 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hh"
+#include "cc/compiler.hh"
 #include "isa/objfile.hh"
 #include "service/cache.hh"
 #include "service/protocol.hh"
 #include "service/queue.hh"
 #include "service/service.hh"
 #include "sim/cpu.hh"
+#include "sim/fastengine.hh"
+#include "verify/generator.hh"
 #include "verify/lockstep.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -322,10 +326,69 @@ TEST(Caches, RegistryInternsAndSharesWarmTables)
     const auto b = reg.intern(hash, loadObject(image));
     EXPECT_EQ(a.get(), b.get()); // same entry, one predecode cache
     EXPECT_EQ(reg.size(), 1u);
-    PredecodeCache* t1 = reg.sharedTables(a, FoldPolicy::kCrisp);
-    PredecodeCache* t2 = reg.sharedTables(b, FoldPolicy::kCrisp);
-    ASSERT_NE(t1, nullptr);
-    EXPECT_EQ(t1, t2);
+    EXPECT_EQ(&reg.sharedTables(a, FoldPolicy::kCrisp),
+              &reg.sharedTables(b, FoldPolicy::kCrisp));
+    EXPECT_EQ(&reg.sharedTranslation(a, FoldPolicy::kCrisp),
+              &reg.sharedTranslation(b, FoldPolicy::kCrisp));
+}
+
+/** Does some text parcel of @p prog fail to decode under @p policy? */
+bool
+hasUndecodableParcel(const Program& prog, PredecodeCache& tables,
+                     FoldPolicy policy)
+{
+    for (Addr pc = prog.textBase; pc < prog.textEnd(); pc += kParcelBytes) {
+        if (tables.at(pc, policy).error != nullptr)
+            return true;
+    }
+    return false;
+}
+
+/**
+ * Every program shares, undecodable parcels or not: the registry warms
+ * one table and builds one translation per program × fold policy, and
+ * that translation over the shared table equals a private one TOp for
+ * TOp.
+ */
+TEST(Caches, RegistrySharesEveryProgram)
+{
+    std::vector<Program> progs;
+    for (const Workload& w : allWorkloads())
+        progs.push_back(cc::compile(w.source).program);
+    for (std::uint64_t s = 1; s <= 200; ++s)
+        progs.push_back(verify::generate(s).link());
+    ProgramRegistry reg(progs.size());
+    int undecodable = 0;
+    for (std::size_t i = 0; i < progs.size(); ++i) {
+        const auto entry = reg.intern(i, Program(progs[i]));
+        for (FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
+                              FoldPolicy::kAll}) {
+            const std::string where =
+                "program " + std::to_string(i) + " fold " +
+                std::to_string(static_cast<int>(fp));
+            PredecodeCache& tables = reg.sharedTables(entry, fp);
+            const Translation& shared = reg.sharedTranslation(entry, fp);
+            EXPECT_EQ(&reg.sharedTables(entry, fp), &tables) << where;
+            EXPECT_EQ(&reg.sharedTranslation(entry, fp), &shared)
+                << where;
+            undecodable += hasUndecodableParcel(entry->prog, tables, fp);
+
+            const Translation priv(progs[i], fp);
+            ASSERT_EQ(shared.size(), priv.size()) << where;
+            for (std::size_t k = 0; k < priv.size(); ++k) {
+                const TOp& a = shared.ops()[k];
+                const TOp& b = priv.ops()[k];
+                ASSERT_TRUE(a == b) << where << " op " << k;
+                if (a.kind == TKind::kTrap) {
+                    EXPECT_STREQ(shared.trapMessage(a.trapMsg),
+                                 priv.trapMessage(b.trapMsg))
+                        << where << " op " << k;
+                }
+            }
+        }
+    }
+    // Most programs have a mid-instruction parcel that does not decode.
+    EXPECT_GT(undecodable, 0);
 }
 
 TEST(Caches, RegistryEvictsLruButHoldersSurvive)
@@ -339,7 +402,8 @@ TEST(Caches, RegistryEvictsLruButHoldersSurvive)
     }
     EXPECT_LE(reg.size(), 2u);
     // The evicted entry is still usable by its holder (shared_ptr).
-    EXPECT_NE(reg.sharedTables(held, FoldPolicy::kCrisp), nullptr);
+    EXPECT_EQ(&reg.sharedTables(held, FoldPolicy::kCrisp).program(),
+              &held->prog);
 }
 
 TEST(Caches, ResultCacheHitsAndEvicts)
@@ -721,6 +785,108 @@ TEST(SimService, AbortShutdownShedsQueuedJobsWithTerminalStates)
     std::string why;
     EXPECT_EQ(service.submit(late, completion, &why),
               SubmitStatus::kRejected);
+}
+
+/**
+ * Two workers serve programs with an undecodable mid-instruction parcel
+ * (0xFC00, a bad opcode, as the low half of a wide immediate) on both
+ * engines under every fold policy, with the result cache off. A fast
+ * and a cycle job for the same program and policy are queued back to
+ * back, so the two workers reach its fresh table together. Each job
+ * must run on the shared table, each fast job on the shared
+ * translation, and each must return what a private run returns. The
+ * tsan build runs this test too.
+ */
+TEST(SimService, TwoWorkersShareTheTablesOfAnUndecodableParcel)
+{
+    std::vector<std::vector<std::uint8_t>> images;
+    std::vector<Program> progs;
+    for (int count = 300; count < 304; ++count) {
+        std::string src = R"(
+            .entry s
+            .local i 0
+            .local k 0
+s:          enter 2
+            mov k, 64512
+            mov i, 0
+top:        add i, 1
+            cmp.s< i, %N%
+            iftjmpy top
+            mov Accum, i
+            halt
+        )";
+        src.replace(src.find("%N%"), 3, std::to_string(count));
+        images.push_back(saveObject(assemble(src)));
+        progs.push_back(loadObject(images.back()));
+        PredecodeCache probe(progs.back());
+        ASSERT_TRUE(hasUndecodableParcel(progs.back(), probe,
+                                         FoldPolicy::kCrisp));
+    }
+
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.resultCacheCap = 0;
+    SimService service(cfg);
+    std::mutex mu;
+    std::vector<std::pair<JobRequest, JobResult>> done;
+    std::vector<std::future<void>> waits;
+    std::vector<std::size_t> image_of;
+    for (std::size_t img = 0; img < images.size(); ++img) {
+        for (FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
+                              FoldPolicy::kAll}) {
+            for (EngineKind engine : {EngineKind::kFast, EngineKind::kCycle}) {
+                JobRequest req;
+                req.jobId = image_of.size() + 1;
+                req.image = images[img];
+                req.foldPolicy = fp;
+                req.engine = engine;
+                req.deadlineMs = 60'000;
+                image_of.push_back(img);
+                auto p = std::make_shared<std::promise<void>>();
+                waits.push_back(p->get_future());
+                ASSERT_EQ(service.submit(req,
+                                         [&, req, p](const JobResult& r) {
+                                             std::lock_guard<std::mutex>
+                                                 lk(mu);
+                                             done.emplace_back(req, r);
+                                             p->set_value();
+                                         }),
+                          SubmitStatus::kAccepted);
+            }
+        }
+    }
+    for (auto& w : waits)
+        w.get();
+    service.shutdown(true);
+
+    const std::uint64_t jobs = image_of.size();
+    const LedgerSnapshot ledger = service.ledger();
+    EXPECT_EQ(ledger.done, jobs);
+    EXPECT_EQ(ledger.predecodeShares, jobs);
+    EXPECT_EQ(ledger.translationShares, jobs / 2);
+    ASSERT_EQ(done.size(), jobs);
+    for (const auto& [req, res] : done) {
+        const Program& prog = progs[image_of[req.jobId - 1]];
+        SimConfig sim;
+        sim.foldPolicy = req.foldPolicy;
+        SimStats st;
+        Word accum = 0;
+        if (req.engine == EngineKind::kFast) {
+            FastEngine eng(prog, sim);
+            st = eng.run();
+            accum = eng.accum();
+        } else {
+            CrispCpu cpu(prog, sim);
+            st = cpu.run();
+            accum = cpu.accum();
+        }
+        const std::string where = "job " + std::to_string(req.jobId);
+        ASSERT_EQ(res.state, JobState::kDone) << where << ": " << res.detail;
+        EXPECT_EQ(res.exitValue, static_cast<std::uint32_t>(accum))
+            << where;
+        EXPECT_EQ(res.cycles, st.cycles) << where;
+        EXPECT_EQ(res.instructions, st.apparent) << where;
+    }
 }
 
 TEST(SimService, LedgerExactlyOnceUnderConcurrentLoad)

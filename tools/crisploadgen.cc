@@ -431,19 +431,20 @@ phaseMixedEngine(const std::string& socket)
 
 /**
  * Phase 2c: warm-replay hammering. N clients replay the SAME
- * program-hash on the fast engine, each job with a distinct cycle
- * budget — a distinct PolicyKey — so the result cache never answers
- * and every accepted job really simulates. The registry must serve
- * all of them from one warm Translation: the translationShares ledger
- * counter grows by exactly the number of simulated runs, and every
- * run agrees architecturally with the first.
+ * program-hash (the loop counting to @p count) on the fast engine,
+ * each job with a distinct cycle budget — a distinct PolicyKey — so
+ * the result cache never answers and every accepted job really
+ * simulates. The registry must serve all of them from one warm table
+ * and one warm Translation: the predecodeShares and translationShares
+ * ledger counters each grow by exactly the number of simulated runs,
+ * and every run agrees architecturally with the first.
  */
 void
 phaseWarmReplay(const std::string& socket, int clients,
-                int jobs_per_client)
+                int jobs_per_client, int count)
 {
     const LedgerSnapshot before = probeHealth(socket).ledger;
-    const auto image = countedImage(77'000);
+    const auto image = countedImage(count);
     std::atomic<std::uint64_t> simulated{0};
     std::atomic<std::uint32_t> first_exit{0};
     std::atomic<std::uint64_t> first_instr{0};
@@ -502,6 +503,10 @@ phaseWarmReplay(const std::string& socket, int clients,
         t.join();
 
     const LedgerSnapshot after = probeHealth(socket).ledger;
+    expect(after.predecodeShares - before.predecodeShares ==
+               simulated.load(),
+           "every simulated warm replay must run on the shared "
+           "registry table");
     expect(after.translationShares - before.translationShares ==
                simulated.load(),
            "every simulated warm replay must run on the shared "
@@ -833,7 +838,10 @@ main(int argc, char** argv)
     phaseCache(socket_path);
     if (chaos) {
         phaseMixedEngine(socket_path);
-        phaseWarmReplay(socket_path, clients, smoke ? 4 : 8);
+        phaseWarmReplay(socket_path, clients, smoke ? 4 : 8, 77'000);
+        // 64512 is 0xFC00, a bad opcode, as the low half of the
+        // compare's wide immediate: a parcel that does not decode.
+        phaseWarmReplay(socket_path, clients, smoke ? 4 : 8, 64'512);
         phaseAdmission(socket_path, kMaxImageBytes);
         phaseProtocolChaos(socket_path);
         phaseTimeoutQuarantine(socket_path, kStrikes);
