@@ -174,13 +174,13 @@ FastEngine::FastEngine(const Program& prog, const SimConfig& cfg,
         trans_ = ownedTrans_.get();
     }
     mem_.load(*prog_);
-    ic_.assign(trans_->size(), IC{});
+    ic_.assign(trans_->icCount(), IC{});
     // Pre-fill the monomorphic caches with the translation's likely
     // targets: a hint-conforming first execution hits immediately.
     // Sound for the same reason refills are — indexOf is a pure
     // function of the translation.
     for (const auto& [idx, target] : trans_->icSeeds()) {
-        IC& c = ic_[idx];
+        IC& c = ic_[trans_->ops()[idx].slot];
         c.valid = true;
         c.target = target;
         c.idx = trans_->indexOf(target);
@@ -276,7 +276,7 @@ FastEngine::runLoop(ExecObserver* observer)
     // because indexOf is a pure function of the translation, which
     // never changes under the engine.
     const auto resolve = [&](const TOp* t, Addr target) {
-        IC& c = ic[t - ops];
+        IC& c = ic[t->slot];
         if (c.valid && c.target == target) {
             ++ic_hits;
             return c.idx;
@@ -537,7 +537,7 @@ FastEngine::runLoop(ExecObserver* observer)
             // this error before counting anything.
             stats_.faulted = true;
             stats_.faultPc = op->pc;
-            stats_.faultReason = trans_->trapMessage(op->trapMsg);
+            stats_.faultReason = trans_->trapMessage(op->slot);
             pc_ = op->pc;
             goto out;
         }

@@ -150,6 +150,7 @@ class FastEngine
     MemoryImage mem_;
     std::unique_ptr<Translation> ownedTrans_;
     const Translation* trans_ = nullptr;
+    /** One per op that reads one, indexed by TOp::slot. */
     std::vector<IC> ic_;
     SimStats stats_;
 

@@ -90,7 +90,7 @@ Translation::Translation(const Program& prog, FoldPolicy policy,
         translateAt(ops_[i],
                     textBase_ + static_cast<Addr>(i) * kParcelBytes);
     }
-    predictIndirects();
+    numberIndirects();
     linkSuccessors();
 }
 
@@ -113,7 +113,7 @@ Translation::translateAt(TOp& t, Addr pc)
         return;
     }
     t.pc = pc; // t is still a default TOp, a kTrap
-    t.trapMsg = static_cast<std::uint32_t>(trapMsgs_.size());
+    t.slot = static_cast<std::uint32_t>(trapMsgs_.size());
     trapMsgs_.push_back(raw.error);
 }
 
@@ -225,10 +225,13 @@ Translation::lowerRaw(TOp& t, Addr pc, const Instruction& inst)
 }
 
 void
-Translation::predictIndirects()
+Translation::numberIndirects()
 {
     for (std::size_t i = 0; i < ops_.size(); ++i) {
-        const TOp& t = ops_[i];
+        TOp& t = ops_[i];
+        if (!t.dynTarget && t.kind != TKind::kRet)
+            continue;
+        t.slot = icCount_++;
         if (!t.dynTarget)
             continue;
         // Likely target: a hinted proven set's first element wins;

@@ -152,8 +152,10 @@ struct TOp
     /** Indirect specifier: byte address (kIndAbs) or SP byte offset
      *  (kIndSp, pre-scaled). */
     std::uint32_t dynSpec = 0;
-    /** kTrap: index into Translation's trap-message table. */
-    std::uint32_t trapMsg = 0;
+    /** Index into a side table. kTrap: Translation's trap messages.
+     *  An op that reads an inline cache (kRet, or dynTarget): the
+     *  engine's caches, numbered 0..icCount()-1 in table order. */
+    std::uint32_t slot = 0;
 
     /** Table index of seqPc / takenPc (kNoIdx = leaves text). */
     std::uint32_t seqIdx = kNoIdx;
@@ -220,12 +222,15 @@ class Translation
         return (a - textBase_) / kParcelBytes;
     }
 
-    /** Fault message for a kTrap op. */
+    /** Fault message for a kTrap op's slot. */
     const char*
-    trapMessage(std::uint32_t idx) const
+    trapMessage(std::uint32_t slot) const
     {
-        return trapMsgs_[idx];
+        return trapMsgs_[slot];
     }
+
+    /** Inline caches an engine needs: one per op that reads one. */
+    std::uint32_t icCount() const { return icCount_; }
 
     const Program& program() const { return prog_; }
     FoldPolicy policy() const { return policy_; }
@@ -246,7 +251,7 @@ class Translation
     void translateAt(TOp& t, Addr pc);
     void lowerDecoded(TOp& t, const DecodedInst& di);
     void lowerRaw(TOp& t, Addr pc, const Instruction& inst);
-    void predictIndirects();
+    void numberIndirects();
     void linkSuccessors();
 
     const Program& prog_;
@@ -259,6 +264,7 @@ class Translation
     std::vector<TOp> ops_;
     std::vector<const char*> trapMsgs_;
     std::vector<std::pair<std::uint32_t, Addr>> icSeeds_;
+    std::uint32_t icCount_ = 0;
 };
 
 } // namespace crisp

@@ -6,7 +6,6 @@
 #include "enginediff.hh"
 
 #include <sstream>
-#include <vector>
 
 #include "isa/program.hh"
 #include "reference.hh"
@@ -29,16 +28,15 @@ runFastLockstep(const Program& prog, const LockstepOptions& opt)
     const InterpResult& ires = ref.interp.result();
 
     SimConfig cfg = opt.cfg;
-    // For the functional engine maxCycles bounds apparent instructions;
-    // the margin only has to absorb superblock-boundary overshoot.
-    cfg.maxCycles = opt.cycleBudget != 0 ? opt.cycleBudget
-                                         : ires.instructions + 50'000;
+    // For the functional engine maxCycles bounds apparent instructions.
+    cfg.maxCycles = opt.cycleBudget != 0
+                        ? opt.cycleBudget
+                        : defaultInstructionBudget(ires.instructions);
 
     FastEngine eng(prog, cfg);
     if (opt.cancel != nullptr)
         eng.setCancelFlag(opt.cancel);
-    const std::vector<Ev>& events = ref.recorder.events;
-    CheckingObserver obs(events);
+    CheckingObserver obs(ref);
     eng.run(&obs);
     rep.sim = eng.stats();
 
@@ -89,12 +87,12 @@ runFastLockstep(const Program& prog, const LockstepOptions& opt)
                      state.context();
         return rep;
     }
-    if (obs.index != events.size()) {
+    if (obs.index != ref.events) {
         rep.kind = Divergence::kEventCountMismatch;
         rep.eventIndex = obs.index;
         rep.detail = "fast engine stopped after " +
                      std::to_string(obs.index) + " of " +
-                     std::to_string(events.size()) +
+                     std::to_string(ref.events) +
                      " reference events" + state.context();
         return rep;
     }

@@ -1,14 +1,15 @@
 /**
  * @file
- * Architectural event-stream recording and checking, shared by the
- * lockstep runners (cycle pipeline vs. interpreter in lockstep.cc,
- * fast engine vs. interpreter in enginediff.cc).
+ * The architectural event stream the lockstep runners compare (cycle
+ * pipeline vs. interpreter in lockstep.cc, fast engine vs. interpreter
+ * in enginediff.cc), and its recorder.
  *
- * Both engines emit the same stream through ExecObserver: one
+ * Every engine emits the same stream through ExecObserver: one
  * onInstruction per executed instruction, one onBranch per executed
- * branch. The reference stream is recorded from the interpreter; the
- * engine under test is then run with a CheckingObserver that compares
- * each event as it happens and latches the first mismatch.
+ * branch. The interpreter's stream is the reference. reference.hh holds
+ * it one bounded window at a time and checks an engine's stream against
+ * it as the engine retires; RefRecorder keeps a whole stream, for
+ * those windows and for tests.
  *
  * Hint fields (the static prediction bit, the short-form encoding
  * flag) are excluded from the comparison by design: faults injected
@@ -59,7 +60,7 @@ struct Ev
     }
 };
 
-/** Records the reference interpreter's event stream. */
+/** Records every event it observes. */
 class RefRecorder : public ExecObserver
 {
   public:
@@ -77,54 +78,6 @@ class RefRecorder : public ExecObserver
     }
 
     std::vector<Ev> events;
-};
-
-/** Compares an engine's retire stream against the reference. */
-class CheckingObserver : public ExecObserver
-{
-  public:
-    explicit CheckingObserver(const std::vector<Ev>& ref) : ref_(ref) {}
-
-    void
-    onInstruction(Addr pc, Opcode op) override
-    {
-        check(Ev{false, pc, op, false, false, 0, 0});
-    }
-
-    void
-    onBranch(const BranchEvent& ev) override
-    {
-        check(Ev{true, ev.pc, ev.op, ev.conditional, ev.taken,
-                 ev.target, ev.fallThrough});
-    }
-
-    bool mismatch = false;
-    std::size_t index = 0;
-    std::string detail;
-
-  private:
-    void
-    check(const Ev& got)
-    {
-        if (mismatch)
-            return;
-        if (index >= ref_.size()) {
-            mismatch = true;
-            detail = "pipeline retired an event past the end of the "
-                     "reference stream: " +
-                     got.toString();
-            return;
-        }
-        if (!(ref_[index] == got)) {
-            mismatch = true;
-            detail = "expected " + ref_[index].toString() + ", got " +
-                     got.toString();
-            return;
-        }
-        ++index;
-    }
-
-    const std::vector<Ev>& ref_;
 };
 
 } // namespace crisp::verify

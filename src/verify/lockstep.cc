@@ -6,7 +6,6 @@
 #include "lockstep.hh"
 
 #include <sstream>
-#include <vector>
 
 #include "isa/program.hh"
 #include "reference.hh"
@@ -80,7 +79,7 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
     SimConfig cfg = opt.cfg;
     const std::uint64_t budget =
         opt.cycleBudget != 0 ? opt.cycleBudget
-                             : rep.refInstructions * 48 + 50'000;
+                             : defaultCycleBudget(rep.refInstructions);
     cfg.maxCycles = budget;
 
     CrispCpu cpu(prog, cfg);
@@ -88,8 +87,7 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
         cpu.setFaultHooks(opt.hooks);
     if (opt.cancel != nullptr)
         cpu.setCancelFlag(opt.cancel);
-    const std::vector<Ev>& events = ref.recorder.events;
-    CheckingObserver obs(events);
+    CheckingObserver obs(ref);
     while (cpu.tick(&obs)) {
         if (obs.mismatch || cpu.stats().cycles >= budget)
             break;
@@ -128,12 +126,12 @@ runLockstep(const Program& prog, const LockstepOptions& opt)
                      state.context();
         return rep;
     }
-    if (obs.index != events.size()) {
+    if (obs.index != ref.events) {
         rep.kind = Divergence::kEventCountMismatch;
         rep.eventIndex = obs.index;
         rep.detail = "pipeline halted after " +
                      std::to_string(obs.index) + " of " +
-                     std::to_string(events.size()) +
+                     std::to_string(ref.events) +
                      " reference events" + state.context();
         return rep;
     }

@@ -5,11 +5,12 @@
  *
  * Both models emit the same architectural event stream through
  * ExecObserver (one onInstruction per executed instruction, one
- * onBranch per executed branch). The reference stream is recorded from
- * the interpreter; the pipeline is then ticked with a checking observer
- * that compares each retired event as it happens and stops at the first
- * mismatch, reporting the event index plus PC / opcode / register /
- * flag context.
+ * onBranch per executed branch). The interpreter runs first, to its
+ * end, and its stream is held one bounded window at a time
+ * (reference.hh); the pipeline is then ticked with a checking observer
+ * that compares each retired event as it happens, refills the window
+ * at its end, and stops at the first mismatch, reporting the event
+ * index plus PC / opcode / register / flag context.
  *
  * Hint fields (the static prediction bit, the short-form encoding flag)
  * are excluded from the comparison by design: faults injected into them
@@ -93,7 +94,8 @@ struct LockstepOptions
     std::uint64_t maxSteps = 1'000'000;
     /**
      * Pipeline cycle budget; 0 derives one from the reference
-     * instruction count (generously, so only a genuine hang trips it).
+     * instruction count (defaultCycleBudget in reference.hh:
+     * generously, so only a genuine hang trips it).
      */
     std::uint64_t cycleBudget = 0;
 };

@@ -1,6 +1,7 @@
 /**
  * @file
- * The reference run and final-state comparison of the lockstep runners.
+ * The reference run, its window refills, and the final-state
+ * comparison of the lockstep runners.
  */
 
 #include "reference.hh"
@@ -15,13 +16,24 @@ bool
 runReference(Reference& ref, std::uint64_t max_steps,
              LockstepReport& rep)
 {
+    Interpreter& interp = ref.interp;
+    const std::uint64_t first = std::min(max_steps, Reference::kWindowSteps);
     try {
-        ref.interp.run(max_steps, &ref.recorder);
+        interp.run(first, &ref.window);
+        if (!interp.halted() && first < max_steps) {
+            // The run outlasts the window: keep where it stands for the
+            // replay, and run on without recording.
+            ref.replay.emplace(interp);
+            interp.run(max_steps - first);
+        }
     } catch (const CrispError& e) {
         ref.faulted = true;
         ref.faultReason = e.what();
     }
-    const InterpResult& r = ref.interp.result();
+    const InterpResult& r = interp.result();
+    // The interpreter emits one event per counted instruction and one
+    // per counted branch, fault or not.
+    ref.events = r.instructions + r.branches;
     rep.refInstructions = r.instructions;
     if (ref.faulted || r.halted)
         return true;
@@ -29,6 +41,22 @@ runReference(Reference& ref, std::uint64_t max_steps,
     rep.detail = "reference interpreter did not halt within " +
                  std::to_string(max_steps) + " steps";
     return false;
+}
+
+bool
+Reference::refill()
+{
+    const std::size_t end = base + window.events.size();
+    if (end == events)
+        return false;
+    base = end;
+    window.events.clear();
+    try {
+        replay->run(kWindowSteps, &window);
+    } catch (const CrispError&) {
+        // The run ahead already kept this fault; it ends the stream.
+    }
+    return true;
 }
 
 std::string

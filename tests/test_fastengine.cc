@@ -571,6 +571,29 @@ TEST(FastEngine, ReturnInlineCacheHitsOnLoopBackEdge)
     EXPECT_EQ(eng.accum(), interp.accum());
 }
 
+/** Inline caches are numbered over the ops that read one (returns and
+ *  dynamic-target branches, at any parcel), in table order, and no
+ *  other op gets one. The op stays 72 bytes. */
+TEST(Translation, OneInlineCachePerOpThatReadsOne)
+{
+    EXPECT_EQ(sizeof(TOp), 72u);
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        const Program prog = verify::generate(seed).link();
+        for (const FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
+                                    FoldPolicy::kAll}) {
+            const Translation tr(prog, fp);
+            std::uint32_t next = 0;
+            for (std::size_t i = 0; i < tr.size(); ++i) {
+                const TOp& t = tr.ops()[i];
+                if (t.dynTarget || t.kind == TKind::kRet) {
+                    EXPECT_EQ(t.slot, next++) << "seed " << seed;
+                }
+            }
+            EXPECT_EQ(tr.icCount(), next) << "seed " << seed;
+        }
+    }
+}
+
 // ------------------------------------- directed: shared translations
 
 TEST(FastEngine, SharedTranslationMatchesPrivateAcrossReplays)

@@ -22,12 +22,14 @@
 
 #include <gtest/gtest.h>
 
+#include "cc/compiler.hh"
 #include "interp/trace.hh"
 #include "sim/cpu.hh"
 #include "sim/predecode.hh"
 #include "verify/enginediff.hh"
 #include "verify/generator.hh"
 #include "verify/lockstep.hh"
+#include "workloads/workloads.hh"
 
 namespace
 {
@@ -263,6 +265,32 @@ TEST(PerfPaths, LockstepLegsReuseTheirImages)
     const double per_call = static_cast<double>(minorFaults() - before) /
                             static_cast<double>(2 * progs.size());
     EXPECT_LT(per_call, 4.0);
+}
+
+/** A long leg holds one window of the reference stream, not its whole
+ *  recording: a dhry leg (1.19M reference instructions) took about
+ *  16.9k minor faults on either runner while the reference was
+ *  recorded whole (42 MB), and a few hundred with the window. Counted
+ *  after a warm-up leg, like the test above. */
+TEST(PerfPaths, LongLegsHoldOneWindow)
+{
+#ifdef CRISP_SANITIZED
+    GTEST_SKIP() << "sanitizers replace the allocator";
+#endif
+    const Program prog = cc::compile(workload("dhry").source).program;
+    verify::LockstepOptions opt;
+    opt.maxSteps = 200'000'000;
+    for (const bool fast : {false, true}) {
+        const auto leg = [&] {
+            return fast ? verify::runFastLockstep(prog, opt)
+                        : verify::runLockstep(prog, opt);
+        };
+        ASSERT_TRUE(leg().ok());
+        const long before = minorFaults();
+        ASSERT_TRUE(leg().ok());
+        EXPECT_LT(minorFaults() - before, 2000)
+            << (fast ? "fast runner" : "cycle runner");
+    }
 }
 
 /** The instruction queue size is validated input: a queue outside

@@ -380,8 +380,8 @@ TEST(Caches, RegistrySharesEveryProgram)
                 const TOp& b = priv.ops()[k];
                 ASSERT_TRUE(a == b) << where << " op " << k;
                 if (a.kind == TKind::kTrap) {
-                    EXPECT_STREQ(shared.trapMessage(a.trapMsg),
-                                 priv.trapMessage(b.trapMsg))
+                    EXPECT_STREQ(shared.trapMessage(a.slot),
+                                 priv.trapMessage(b.slot))
                         << where << " op " << k;
                 }
             }

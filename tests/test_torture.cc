@@ -3,7 +3,8 @@
  * Torture-subsystem tests: generator determinism and coverage, the
  * lockstep differential runner over a large seed sweep, every
  * fault-injection hook (benign hints vs. detected corruption), the
- * cycle- and step-limit watchdogs, and the delta-debugging shrinker.
+ * cycle- and step-limit watchdogs, the windowed reference stream
+ * against a whole recording, and the delta-debugging shrinker.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "asm/assembler.hh"
 #include "cc/compiler.hh"
 #include "sim/cpu.hh"
+#include "sim/fastengine.hh"
 #include "verify/enginediff.hh"
 #include "verify/faults.hh"
 #include "verify/generator.hh"
@@ -392,6 +394,292 @@ TEST(Watchdog, StepLimitVerdictNamesTheLimitOnBothRunners)
         EXPECT_TRUE(full.ok()) << (fast ? "fast: " : "cycle: ")
                                << full.toString();
         EXPECT_GT(full.refInstructions, 1'000'000u);
+    }
+}
+
+// ------------------------------------------ windowed reference stream
+
+/** Both runners, every workload, every fold policy, with room to run
+ *  to the end. Nine workloads outlast the first window, so this also
+ *  runs the refill path in the sanitizer builds. */
+TEST(Lockstep, EveryWorkloadAgreesOnBothRunners)
+{
+    for (const Workload& w : allWorkloads()) {
+        const Program p = cc::compile(w.source).program;
+        Interpreter interp(p);
+        const std::uint64_t n = interp.run(200'000'000).instructions;
+        for (const FoldPolicy fp : {FoldPolicy::kNone, FoldPolicy::kCrisp,
+                                    FoldPolicy::kAll}) {
+            LockstepOptions opt;
+            opt.cfg.foldPolicy = fp;
+            opt.maxSteps = 200'000'000;
+            for (const bool fast : {false, true}) {
+                const LockstepReport rep =
+                    fast ? verify::runFastLockstep(p, opt)
+                         : verify::runLockstep(p, opt);
+                const std::string where =
+                    w.name + (fast ? " fast" : " cycle") + " fold " +
+                    std::to_string(static_cast<int>(fp));
+                EXPECT_TRUE(rep.ok()) << where << "\n" << rep.toString();
+                EXPECT_EQ(rep.refInstructions, n) << where;
+            }
+        }
+    }
+}
+
+/** The interpreter's whole event stream, recorded the plain way. */
+struct WholeRun
+{
+    explicit WholeRun(const Program& p,
+                      std::uint64_t max_steps = 200'000'000)
+        : interp(p)
+    {
+        try {
+            interp.run(max_steps, &rec);
+        } catch (const CrispError& e) {
+            fault = e.what();
+        }
+    }
+
+    Interpreter interp;
+    verify::RefRecorder rec;
+    std::string fault;
+};
+
+/** Compares an engine's events with a whole recorded stream, by
+ *  index: the check the windowed one must agree with. */
+class WholeStreamChecker : public ExecObserver
+{
+  public:
+    explicit WholeStreamChecker(const std::vector<verify::Ev>& ref)
+        : ref_(ref)
+    {
+    }
+
+    void
+    onInstruction(Addr pc, Opcode op) override
+    {
+        check(verify::Ev{false, pc, op, false, false, 0, 0});
+    }
+
+    void
+    onBranch(const BranchEvent& ev) override
+    {
+        check(verify::Ev{true, ev.pc, ev.op, ev.conditional, ev.taken,
+                         ev.target, ev.fallThrough});
+    }
+
+    bool mismatch = false;
+    std::size_t index = 0;
+    std::string detail;
+
+  private:
+    void
+    check(const verify::Ev& got)
+    {
+        if (mismatch)
+            return;
+        if (index == ref_.size()) {
+            mismatch = true;
+            detail = "pipeline retired an event past the end of the "
+                     "reference stream: " +
+                     got.toString();
+        } else if (!(ref_[index] == got)) {
+            mismatch = true;
+            detail = "expected " + ref_[index].toString() + ", got " +
+                     got.toString();
+        } else {
+            ++index;
+        }
+    }
+
+    const std::vector<verify::Ev>& ref_;
+};
+
+/** Events in the first window of @p p's reference run. */
+std::size_t
+firstWindowEvents(const Program& p)
+{
+    verify::Reference ref(p);
+    LockstepReport rep;
+    verify::runReference(ref, 200'000'000, rep);
+    return ref.window.events.size();
+}
+
+/** 60,010 instructions, then a read far past the end of memory. */
+Program
+lateFaultProgram()
+{
+    return cc::compile(R"(
+        int a[4];
+        int main() {
+            int i;
+            i = 0;
+            while (i < 20000)
+                i = i + 1;
+            return a[1000000];
+        }
+    )").program;
+}
+
+TEST(LockstepWindow, RefillsReplayTheWholeStream)
+{
+    for (const Program& p :
+         {verify::generate(3).link(), lateFaultProgram(),
+          cc::compile(workload("matmul").source).program}) {
+        const WholeRun whole(p);
+        verify::Reference ref(p);
+        LockstepReport rep;
+        ASSERT_TRUE(verify::runReference(ref, 200'000'000, rep));
+        EXPECT_EQ(ref.faultReason, whole.fault);
+        EXPECT_EQ(ref.events, whole.rec.events.size());
+        std::vector<verify::Ev> joined = ref.window.events;
+        while (ref.refill()) {
+            EXPECT_EQ(ref.base, joined.size());
+            EXPECT_LE(ref.window.events.size(),
+                      2 * verify::Reference::kWindowSteps + 1);
+            joined.insert(joined.end(), ref.window.events.begin(),
+                          ref.window.events.end());
+        }
+        EXPECT_TRUE(joined == whole.rec.events);
+    }
+}
+
+/** From its n-th issue on, the EU rewrites every sequential entry it
+ *  issues: a late pipeline bug. With @p halt the entry halts the
+ *  machine once its body retires; otherwise it retires as a nop. */
+class LateBug : public FaultHooks
+{
+  public:
+    LateBug(std::uint64_t from, bool halt) : from_(from), halt_(halt) {}
+
+    void
+    onIssue(DecodedInst& di) override
+    {
+        if (++issues_ < from_ || di.ctl != Ctl::kSeq)
+            return;
+        if (halt_)
+            di.ctl = Ctl::kHalt;
+        else
+            di.body.op = Opcode::kNop;
+    }
+
+  private:
+    std::uint64_t from_;
+    bool halt_;
+    std::uint64_t issues_ = 0;
+};
+
+/** A late bug's verdict from runLockstep, against the same pipeline
+ *  run checked by index against the whole stream. */
+void
+expectLateBugMatchesAWholeRecording(bool halt)
+{
+    const Program p = cc::compile(workload("matmul").source).program;
+    const WholeRun whole(p);
+    const std::uint64_t from = 25'000;
+
+    LateBug bug(from, halt);
+    LockstepOptions opt;
+    opt.hooks = &bug;
+    const LockstepReport rep = verify::runLockstep(p, opt);
+
+    LateBug same(from, halt);
+    const std::uint64_t n = whole.interp.result().instructions;
+    const std::uint64_t budget = verify::defaultCycleBudget(n);
+    SimConfig cfg;
+    cfg.maxCycles = budget;
+    CrispCpu cpu(p, cfg);
+    cpu.setFaultHooks(&same);
+    WholeStreamChecker chk(whole.rec.events);
+    while (cpu.tick(&chk)) {
+        if (chk.mismatch || cpu.stats().cycles >= budget)
+            break;
+    }
+    const std::string context =
+        verify::EngineState{"sim",    cpu.accum(),       cpu.flag(),
+                            cpu.sp(), cpu.nextIssuePc(), cpu.memory()}
+            .context();
+
+    EXPECT_GT(chk.index, firstWindowEvents(p));
+    if (halt) {
+        ASSERT_FALSE(chk.mismatch);
+        ASSERT_TRUE(cpu.halted());
+        EXPECT_EQ(rep.kind, Divergence::kEventCountMismatch)
+            << rep.toString();
+        EXPECT_EQ(rep.detail,
+                  "pipeline halted after " + std::to_string(chk.index) +
+                      " of " + std::to_string(whole.rec.events.size()) +
+                      " reference events" + context);
+    } else {
+        ASSERT_TRUE(chk.mismatch);
+        EXPECT_EQ(rep.kind, Divergence::kEventMismatch) << rep.toString();
+        EXPECT_EQ(rep.detail, chk.detail + context);
+    }
+    EXPECT_EQ(rep.eventIndex, chk.index);
+    EXPECT_EQ(rep.refInstructions, n);
+    EXPECT_TRUE(rep.sim == cpu.stats()) << rep.sim.toString();
+}
+
+TEST(LockstepWindow, DivergencePastTheFirstWindowMatchesAWholeRecording)
+{
+    expectLateBugMatchesAWholeRecording(false);
+}
+
+TEST(LockstepWindow, EarlyHaltPastTheFirstWindowMatchesAWholeRecording)
+{
+    expectLateBugMatchesAWholeRecording(true);
+}
+
+TEST(LockstepWindow, LateReferenceFaultMatchesAWholeRecording)
+{
+    const Program p = lateFaultProgram();
+    const WholeRun whole(p);
+    ASSERT_FALSE(whole.fault.empty());
+    const std::uint64_t n = whole.interp.result().instructions;
+
+    const LockstepReport rep = verify::runFastLockstep(p);
+
+    SimConfig cfg;
+    cfg.maxCycles = verify::defaultInstructionBudget(n);
+    FastEngine eng(p, cfg);
+    WholeStreamChecker chk(whole.rec.events);
+    eng.run(&chk);
+    ASSERT_TRUE(eng.stats().faulted);
+    ASSERT_FALSE(chk.mismatch);
+    EXPECT_EQ(chk.index, whole.rec.events.size());
+    EXPECT_GT(chk.index, firstWindowEvents(p));
+
+    // Both faulted at the same event with the same state: agreement.
+    EXPECT_EQ(rep.kind, Divergence::kNone) << rep.toString();
+    EXPECT_EQ(rep.eventIndex, 0u);
+    EXPECT_EQ(rep.detail, "");
+    EXPECT_EQ(rep.refInstructions, n);
+    EXPECT_TRUE(rep.sim == eng.stats()) << rep.sim.toString();
+    EXPECT_EQ(rep.sim.faultReason, whole.fault);
+}
+
+TEST(LockstepWindow, StepLimitInALaterWindowMatchesAWholeRecording)
+{
+    const Program p = cc::compile(workload("matmul").source).program;
+    const std::uint64_t limit = 30'000;
+    const WholeRun whole(p, limit);
+    ASSERT_FALSE(whole.interp.halted());
+    ASSERT_GT(whole.rec.events.size(), firstWindowEvents(p));
+    for (const bool fast : {false, true}) {
+        LockstepOptions opt;
+        opt.maxSteps = limit;
+        const LockstepReport rep = fast ? verify::runFastLockstep(p, opt)
+                                        : verify::runLockstep(p, opt);
+        EXPECT_EQ(rep.kind, Divergence::kReferenceStepLimit)
+            << rep.toString();
+        EXPECT_EQ(rep.eventIndex, 0u);
+        EXPECT_EQ(rep.detail, "reference interpreter did not halt "
+                              "within 30000 steps");
+        EXPECT_EQ(rep.refInstructions,
+                  whole.interp.result().instructions);
+        EXPECT_TRUE(rep.sim == SimStats{}) << rep.sim.toString();
+        EXPECT_EQ(rep.sim.apparent, 0u) << "the engine must not run";
     }
 }
 

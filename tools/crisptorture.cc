@@ -77,6 +77,7 @@
 #include "verify/faults.hh"
 #include "verify/generator.hh"
 #include "verify/lockstep.hh"
+#include "verify/reference.hh"
 #include "verify/shrink.hh"
 
 namespace
@@ -203,8 +204,8 @@ struct Outcome
 /**
  * Run @p leg over @p prog and classify it. A lockstep leg runs under
  * its own watchdog timer when --timeout-ms is set. The oracle leg runs
- * under the cycle budget runLockstep gives the program (48 cycles per
- * reference instruction plus 50,000), not SimConfig's 2·10⁹.
+ * under the cycle budget runLockstep gives the program
+ * (defaultCycleBudget), not SimConfig's 2·10⁹.
  */
 Outcome
 runLeg(const Leg& leg, const Program& prog, const Options& opt,
@@ -219,7 +220,7 @@ runLeg(const Leg& leg, const Program& prog, const Options& opt,
             // A faulting reference bounds the run by what it executed.
         }
         SimConfig cfg = leg.cfg;
-        cfg.maxCycles = ref.result().instructions * 48 + 50'000;
+        cfg.maxCycles = defaultCycleBudget(ref.result().instructions);
         const analysis::OracleReport r =
             analysis::runStaticOracle(prog, cfg);
         out.found = (r.mismatches.empty() ? 0 : 1u << kStaticMismatch) |
